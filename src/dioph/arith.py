@@ -255,9 +255,36 @@ def _floor_quad_int(x: int, y: int, z: int, d: int) -> int:
     return (x + f) // z
 
 
+def _surd_sign(a, b, d: int) -> int:
+    """Sign of a + b*sqrt(d) for rational a, b and non-square d >= 2."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * d
+    if lhs == rhs:
+        raise InternalConsistencyError("surd compared equal to a rational")
+    big_a = lhs > rhs
+    if a > 0:
+        return 1 if big_a else -1
+    return -1 if big_a else 1
+
+
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class Quad:
-    """Exact quadratic surd a + b*sqrt(d) with b != 0 and d >= 2 non-square."""
+    """Exact quadratic surd a + b*sqrt(d) with b != 0 and d >= 2 non-square.
+
+    Build values with :func:`surd`, which reduces the radicand once.  The
+    arithmetic below keeps that radicand: results in the same field are
+    built directly, never reduced again.
+    """
 
     a: Fraction
     b: Fraction
@@ -272,18 +299,34 @@ class Quad:
     # -- arithmetic ---------------------------------------------------------
 
     def _parts(self, other) -> Optional[tuple[Fraction, Fraction]]:
-        """(rational part, surd coefficient) of `other` in this field."""
+        """(rational part, surd coefficient) of `other` in this field.
+
+        A radicand d2 names the same field exactly when d*d2 is a perfect
+        square, and then sqrt(d2) = isqrt(d*d2)/d * sqrt(d).
+        """
         if isinstance(other, Quad):
-            return (other.a, other.b) if other.d == self.d else None
-        if isinstance(other, (int, Fraction)):
-            return (Fraction(other), Fraction(0))
+            if other.d == self.d:
+                return other.a, other.b
+            prod = self.d * other.d
+            r = math.isqrt(prod)
+            if r * r != prod:
+                return None
+            return other.a, other.b * Fraction(r, self.d)
+        if isinstance(other, Fraction):
+            return other, _ZERO
+        if isinstance(other, int):
+            return Fraction(other), _ZERO
         return None
+
+    def _in_field(self, a: Fraction, b: Fraction) -> ExactValue:
+        """a + b*sqrt(d) in this field, a Fraction when b vanishes."""
+        return Quad(a, b, self.d) if b else a
 
     def __add__(self, other):
         p = self._parts(other)
         if p is None:
             return NotImplemented
-        return surd(self.a + p[0], self.b + p[1], self.d)
+        return self._in_field(self.a + p[0], self.b + p[1])
 
     __radd__ = __add__
 
@@ -294,23 +337,22 @@ class Quad:
         p = self._parts(other)
         if p is None:
             return NotImplemented
-        return surd(self.a - p[0], self.b - p[1], self.d)
+        return self._in_field(self.a - p[0], self.b - p[1])
 
     def __rsub__(self, other):
         p = self._parts(other)
         if p is None:
             return NotImplemented
-        return surd(p[0] - self.a, p[1] - self.b, self.d)
+        return self._in_field(p[0] - self.a, p[1] - self.b)
 
     def __mul__(self, other):
         p = self._parts(other)
         if p is None:
             return NotImplemented
-        return surd(
-            self.a * p[0] + self.b * p[1] * self.d,
-            self.a * p[1] + self.b * p[0],
-            self.d,
-        )
+        x, y = p
+        if not y:
+            return self._in_field(self.a * x, self.b * x)
+        return self._in_field(self.a * x + self.b * y * self.d, self.a * y + self.b * x)
 
     __rmul__ = __mul__
 
@@ -318,7 +360,7 @@ class Quad:
         norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:
             raise InternalConsistencyError("zero norm for irrational surd")
-        return surd(self.a / norm, -self.b / norm, self.d)
+        return Quad(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         p = self._parts(other)
@@ -327,7 +369,7 @@ class Quad:
         if p[1] == 0:
             if p[0] == 0:
                 raise ZeroDivisionError("division by zero")
-            return surd(self.a / p[0], self.b / p[0], self.d)
+            return Quad(self.a / p[0], self.b / p[0], self.d)
         return self * Quad(p[0], p[1], self.d).inverse()
 
     def __rtruediv__(self, other):
@@ -335,7 +377,7 @@ class Quad:
         if p is None:
             return NotImplemented
         inv = self.inverse()
-        return inv * Fraction(p[0]) if p[1] == 0 else NotImplemented
+        return inv * p[0] if p[1] == 0 else NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -352,28 +394,13 @@ class Quad:
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * self.d
-        if lhs == rhs:
-            raise InternalConsistencyError("surd compared equal to a rational")
-        big_a = lhs > rhs
-        if a > 0:
-            return 1 if big_a else -1
-        return -1 if big_a else 1
+        return _surd_sign(self.a, self.b, self.d)
 
     def _cmp(self, other) -> Optional[int]:
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
+        p = self._parts(other)
+        if p is None:
             return None
-        if isinstance(diff, Fraction):
-            return (diff > 0) - (diff < 0)
-        return diff.sign()
+        return _surd_sign(self.a - p[0], self.b - p[1], self.d)
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -423,7 +450,11 @@ class Quad:
 
 
 def surd(a: Fraction, b: Fraction, d: int) -> Union[Fraction, Quad]:
-    """Build a + b*sqrt(d), collapsing to a Fraction when the surd vanishes."""
+    """Build a + b*sqrt(d), collapsing to a Fraction when the surd vanishes.
+
+    This is where a radicand is reduced (square factors move into b), once;
+    Quad arithmetic keeps the reduced radicand.
+    """
     a, b = Fraction(a), Fraction(b)
     if b == 0:
         return a
@@ -454,6 +485,20 @@ def exact_enclose(x: ExactValue, bits: int) -> RealEnclosure:
     if isinstance(x, Quad):
         return x.enclose(bits)
     return enc_point(Fraction(x), bits)
+
+
+def exact_cmp(x: ExactValue, y: ExactValue) -> int:
+    """-1, 0 or 1 as x <, = or > y, for exact values in a common field."""
+    if isinstance(x, Quad):
+        c = x._cmp(y)
+    elif isinstance(y, Quad):
+        c = y._cmp(x)
+        c = None if c is None else -c
+    else:
+        c = (x > y) - (x < y)
+    if c is None:
+        raise InternalConsistencyError(f"incomparable exact values {x!r} and {y!r}")
+    return c
 
 
 def _exact_binop(x: ExactValue, y: ExactValue, op: str) -> Optional[ExactValue]:

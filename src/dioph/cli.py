@@ -40,7 +40,14 @@ DEFAULT_PREC = 256
 
 
 def _cap() -> int:
-    return int(os.environ.get("DIOPH_PRECISION_CAP", "4096"))
+    text = os.environ.get("DIOPH_PRECISION_CAP", "4096")
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise DomainError(f"DIOPH_PRECISION_CAP must be a positive integer, got {text!r}")
+    return cap
 
 
 def _enc_obj(e: Optional[RealEnclosure]):
@@ -120,13 +127,9 @@ def _gamma_result_obj(res: quality.GammaResult):
 def _cmd_gamma(args) -> int:
     alpha = parse_alpha(args.alpha)
     tau = parse_rat(args.tau)
-    res = quality.gamma_of(alpha, tau, args.depth, args.prec)
-    even, odd = quality.gamma_parity(alpha, tau, args.depth, args.prec)
-    rows = []
-    for n in range(res.depth_used + 1):
-        row = quality.gamma_n(alpha, tau, n, args.prec)
-        rows.append({"n": row.n, "q": row.q, "p": row.p,
-                     "enclosure": _enc_obj(row.enclosure)})
+    res, even, odd, quality_rows = quality._gamma_report(alpha, tau, args.depth, args.prec)
+    rows = [{"n": row.n, "q": row.q, "p": row.p, "enclosure": _enc_obj(row.enclosure)}
+            for row in quality_rows]
     payload = {
         "alpha": format_alpha(alpha),
         "tau": format_rat(tau),

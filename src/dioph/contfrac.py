@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 from .arith import (
@@ -26,10 +26,10 @@ from .arith import (
     Quad,
     Real,
     RealEnclosure,
+    _square_free_split,
     format_rat,
     is_square,
     parse_rat,
-    surd,
 )
 
 
@@ -67,10 +67,14 @@ class QuadraticAlpha:
         if self.d <= 0 or is_square(self.d):
             raise DomainError("quadratic radicand must be a positive non-square")
 
+    @cached_property
+    def _field(self) -> tuple[int, int]:
+        """(c, k) with d = c^2 * k and k reduced: the field, computed once."""
+        return _square_free_split(self.d)
+
     def value(self) -> Quad:
-        v = surd(Fraction(self.p, self.q), Fraction(1, self.q), self.d)
-        assert isinstance(v, Quad)
-        return v
+        c, k = self._field
+        return Quad(Fraction(self.p, self.q), Fraction(c, self.q), k)
 
 
 @dataclass(frozen=True)
@@ -157,14 +161,15 @@ def _rational_quotients(x: Fraction) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _quad_cycle(p: int, d: int, q: int):
     """Integer expansion states of (p + sqrt(d))/q.
 
-    Returns (preperiod, period, quotients, states) where `quotients` and
+    Returns (preperiod, period, quotients, states, D) where `quotients` and
     `states` cover indices 0 .. preperiod+period-1 and states[n] = (P_n, Q_n)
-    for the normalized radicand D (states are for tail values
-    (P_n + sqrt(D)) / Q_n).
+    for the normalized radicand D, which is d or d*q^2 (states are for tail
+    values (P_n + sqrt(D)) / Q_n).  The cache is bounded so that a long-lived
+    process does not keep every alpha it has expanded.
     """
     # normalize so that Q divides D - P^2
     if (d - p * p) % q != 0:
@@ -209,9 +214,11 @@ def _quad_tail(alpha: QuadraticAlpha, n: int) -> Quad:
         pp, qq = states[n]
     else:
         pp, qq = states[start + (n - start) % period]
-    v = surd(Fraction(pp, qq), Fraction(1, qq), d)
-    assert isinstance(v, Quad)
-    return v
+    # sqrt(D) = c*sqrt(k) in alpha's own field, times |q| when D = d*q^2
+    c, k = alpha._field
+    if d != alpha.d:
+        c *= abs(alpha.q)
+    return Quad(Fraction(pp, qq), Fraction(c, qq), k)
 
 
 def cf_cycle(alpha: QuadraticAlpha) -> tuple[int, int]:

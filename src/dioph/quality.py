@@ -22,9 +22,10 @@ from .arith import (
     Quad,
     Real,
     RealEnclosure,
-    _exact_binop,
+    _surd_sign,
     enc_intersect,
-    exact_sign,
+    exact_cmp,
+    exact_enclose,
     surd,
 )
 from .contfrac import (
@@ -132,12 +133,10 @@ def _row(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int,
         enc = enc_intersect(enc, fond.enclose(precision))
         if exact is None:
             exact = fond.exact
-        elif fond.exact is not None:
-            diff = _exact_binop(exact, fond.exact, "sub")
-            if diff is not None and exact_sign(diff) != 0:
-                raise InternalConsistencyError(
-                    f"quality routes disagree at n={n}: {exact!r} vs {fond.exact!r}"
-                )
+        elif fond.exact is not None and exact_cmp(exact, fond.exact) != 0:
+            raise InternalConsistencyError(
+                f"quality routes disagree at n={n}: {exact!r} vs {fond.exact!r}"
+            )
     return QualityRow(n=n, q=table.denom(n), p=table.numer(n), enclosure=enc, exact=exact)
 
 
@@ -162,6 +161,42 @@ def _rows_to(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int
     table = convergents(quotients)
     rows = [_row(alpha, tau, table, n, precision) for n in range(len(quotients))]
     return table, rows
+
+
+def _depth_used(alpha: AlphaSpec, depth: int) -> int:
+    """Deepest row a bracket reads: the whole expansion of a rational, at
+    least the preperiod of a quadratic, at most the stored prefix."""
+    if isinstance(alpha, RationalAlpha):
+        return len(_rational_quotients(alpha.value)) - 1
+    if isinstance(alpha, QuadraticAlpha):
+        start = _quad_cycle(alpha.p, alpha.d, alpha.q)[0]
+        return max(depth, start, 1)
+    return min(depth, len(alpha.quotients) - 1)
+
+
+@dataclass(frozen=True)
+class _GammaRows:
+    """Rows 0..depth of one (alpha, tau) request, built once and reduced by
+    gamma_of, gamma_parity and the CLI."""
+
+    alpha: AlphaSpec
+    tau: Fraction
+    depth: int
+    table: ConvergentTable
+    rows: list[QualityRow]
+    precision: int
+
+
+def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int
+                ) -> _GammaRows:
+    tau = Fraction(tau)
+    if tau < 1:
+        raise DomainError("tau must be >= 1")
+    if depth < 1:
+        raise DomainError("depth must be >= 1")
+    depth = _depth_used(alpha, depth)
+    table, rows = _rows_to(alpha, tau, depth, precision)
+    return _GammaRows(alpha, tau, depth, table, rows, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +274,10 @@ def _reduce_rows(rows: list[QualityRow], tail_bound: Optional[Real],
     if all(r.exact is not None for r in rows):
         vmin = rows[0].exact
         for r in rows[1:]:
-            if _exact_lt(r.exact, vmin):
+            if exact_cmp(r.exact, vmin) < 0:
                 vmin = r.exact
         argmin = tuple(r.n for r in rows if r.exact == vmin)
-        enc = _exact_enclose(vmin, precision)
+        enc = exact_enclose(vmin, precision)
         min_lo, upper = enc.lo, enc.hi
     else:
         upper = min(r.enclosure.hi for r in rows)
@@ -259,15 +294,33 @@ def _reduce_rows(rows: list[QualityRow], tail_bound: Optional[Real],
                        certified=certified, depth_used=depth_used)
 
 
-def _exact_lt(x: ExactValue, y: ExactValue) -> bool:
-    diff = _exact_binop(x, y, "sub")
-    if diff is None:
-        raise InternalConsistencyError("incomparable exact row values")
-    return exact_sign(diff) < 0
+def _bracket(g: _GammaRows) -> GammaResult:
+    alpha, depth = g.alpha, g.depth
+    if isinstance(alpha, RationalAlpha):
+        return GammaResult(lower=Fraction(0), upper=Fraction(0),
+                           argmin_candidates=(depth,), certified=True,
+                           depth_used=depth)
+    if isinstance(alpha, PrefixAlpha) and depth < 1:
+        raise DomainError("prefix too short for any quality row beyond n=0")
+    tail_bound = _tail_lower(alpha, g.tau, g.table, depth, None, g.precision)
+    return _reduce_rows(g.rows, tail_bound, g.precision, depth)
 
 
-def _exact_enclose(x: ExactValue, bits: int) -> RealEnclosure:
-    return Real.from_exact(x).enclose(bits)
+def _parity_brackets(g: _GammaRows) -> tuple[GammaResult, GammaResult]:
+    results = []
+    for parity in (0, 1):
+        sub = [r for r in g.rows if r.n % 2 == parity]
+        if not sub:
+            results.append(GammaResult(Fraction(0), Fraction(0), (), False, g.depth))
+            continue
+        if isinstance(g.alpha, RationalAlpha):
+            # finite expansion: no deeper rows exist, any nonnegative bound works
+            results.append(_reduce_rows(sub, Real.from_exact(sub[0].enclosure.hi),
+                                        g.precision, g.depth))
+            continue
+        tail_bound = _tail_lower(g.alpha, g.tau, g.table, g.depth, parity, g.precision)
+        results.append(_reduce_rows(sub, tail_bound, g.precision, g.depth))
+    return results[0], results[1]
 
 
 def gamma_of(alpha: AlphaSpec, tau: Fraction, depth: int,
@@ -275,84 +328,29 @@ def gamma_of(alpha: AlphaSpec, tau: Fraction, depth: int,
     """Bracket of inf_n gamma_n(alpha, tau) from rows 0..depth plus a proven
     deep-row bound where one is available (quadratic cycles; bounded-tail
     prefixes computed to their full length)."""
-    tau = Fraction(tau)
-    if tau < 1:
-        raise DomainError("tau must be >= 1")
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    if isinstance(alpha, RationalAlpha):
-        last = len(_rational_quotients(alpha.value)) - 1
-        return GammaResult(lower=Fraction(0), upper=Fraction(0),
-                           argmin_candidates=(last,), certified=True,
-                           depth_used=last)
-    if isinstance(alpha, QuadraticAlpha):
-        start, _period = _quad_cycle(alpha.p, alpha.d, alpha.q)[:2]
-        depth = max(depth, start, 1)
-    if isinstance(alpha, PrefixAlpha):
-        depth = min(depth, len(alpha.quotients) - 1)
-        if depth < 1:
-            raise DomainError("prefix too short for any quality row beyond n=0")
-    table, rows = _rows_to(alpha, tau, depth, precision)
-    tail_bound = _tail_lower(alpha, tau, table, depth, None, precision)
-    return _reduce_rows(rows, tail_bound, precision, depth)
+    return _bracket(_gamma_rows(alpha, tau, depth, precision))
 
 
 def gamma_parity(alpha: AlphaSpec, tau: Fraction, depth: int,
                  precision: int = DEFAULT_PRECISION) -> tuple[GammaResult, GammaResult]:
     """(even-index bracket, odd-index bracket) of the quality infima."""
-    tau = Fraction(tau)
-    if tau < 1:
-        raise DomainError("tau must be >= 1")
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    if isinstance(alpha, QuadraticAlpha):
-        start, _period = _quad_cycle(alpha.p, alpha.d, alpha.q)[:2]
-        depth = max(depth, start, 1)
-    if isinstance(alpha, PrefixAlpha):
-        depth = min(depth, len(alpha.quotients) - 1)
-    if isinstance(alpha, RationalAlpha):
-        qs = _rational_quotients(alpha.value)
-        table = convergents(qs)
-        rows = [_row(alpha, tau, table, n, precision) for n in range(len(qs))]
-        depth = len(qs) - 1
-    else:
-        table, rows = _rows_to(alpha, tau, depth, precision)
-    results = []
-    for parity in (0, 1):
-        sub = [r for r in rows if r.n % 2 == parity]
-        if not sub:
-            results.append(GammaResult(Fraction(0), Fraction(0), (), False, depth))
-            continue
-        if isinstance(alpha, RationalAlpha):
-            # finite expansion: no deeper rows exist, any nonnegative bound works
-            results.append(_reduce_rows(sub, Real.from_exact(sub[0].enclosure.hi),
-                                        precision, depth))
-            continue
-        tail_bound = _tail_lower(alpha, tau, table, depth, parity, precision)
-        results.append(_reduce_rows(sub, tail_bound, precision, depth))
-    return results[0], results[1]
+    return _parity_brackets(_gamma_rows(alpha, tau, depth, precision))
+
+
+def _gamma_report(alpha: AlphaSpec, tau: Fraction, depth: int,
+                 precision: int = DEFAULT_PRECISION
+                 ) -> tuple[GammaResult, GammaResult, GammaResult, list[QualityRow]]:
+    """(gamma_of, even bracket, odd bracket, rows 0..depth_used) from one
+    build of the rows; each row equals gamma_n at its index."""
+    g = _gamma_rows(alpha, tau, depth, precision)
+    res = _bracket(g)
+    even, odd = _parity_brackets(g)
+    return res, even, odd, g.rows
 
 
 # ---------------------------------------------------------------------------
 # Brute force oracle
 # ---------------------------------------------------------------------------
-
-def _int_surd_sign(a: int, b: int, d: int) -> int:
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs, rhs = a * a, b * b * d
-    if lhs == rhs:
-        raise InternalConsistencyError("integer surd compared equal to zero")
-    if a > 0:
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
-
 
 def _bf_quadratic_int_tau(alpha: QuadraticAlpha, t: int, qmax: int,
                           precision: int) -> tuple[RealEnclosure, int, Quad]:
@@ -367,11 +365,11 @@ def _bf_quadratic_int_tau(alpha: QuadraticAlpha, t: int, qmax: int,
         m = _nearest_int(q * x, q * y, z, d)
         num = q * x - m * z
         sb = q * y
-        if _int_surd_sign(num, sb, d) < 0:
+        if _surd_sign(num, sb, d) < 0:
             num, sb = -num, -sb
         qt = q ** t
         cand = (qt * num, qt * sb)
-        if best is None or _int_surd_sign(cand[0] - best[0], cand[1] - best[1], d) < 0:
+        if best is None or _surd_sign(cand[0] - best[0], cand[1] - best[1], d) < 0:
             best, best_q = cand, q
     value = surd(Fraction(best[0], z), Fraction(best[1], z), d)
     assert isinstance(value, Quad)
@@ -460,8 +458,7 @@ def _check_unit_interval(alpha: AlphaSpec) -> None:
     r = alpha_real(alpha)
     if r.exact is not None:
         x = r.exact
-        in_range = exact_sign(_exact_binop(x, Fraction(0), "sub")) > 0 and \
-            exact_sign(_exact_binop(x, Fraction(1), "sub")) < 0
+        in_range = exact_cmp(x, Fraction(0)) > 0 and exact_cmp(x, Fraction(1)) < 0
     else:
         enc = r.enclose(128)
         in_range = enc.lo is not None and enc.hi is not None and \
@@ -492,16 +489,11 @@ def membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
         return MembershipVerdict(kind="out", witness_q=table.denom(n),
                                  witness_p=table.numer(n), budget_spent=n,
                                  lower=Fraction(0), upper=Fraction(0))
-    depth = depth_budget
-    if isinstance(alpha, QuadraticAlpha):
-        start, _ = _quad_cycle(alpha.p, alpha.d, alpha.q)[:2]
-        depth = max(depth, start, 1)
-    if isinstance(alpha, PrefixAlpha):
-        depth = min(depth, len(alpha.quotients) - 1)
+    depth = _depth_used(alpha, depth_budget)
     table, rows = _rows_to(alpha, tau, depth, precision)
     for r in rows:
         if r.exact is not None:
-            below = exact_sign(_exact_binop(r.exact, gamma, "sub")) < 0
+            below = exact_cmp(r.exact, gamma) < 0
         else:
             below = r.enclosure.hi < gamma
         if below:

@@ -1,15 +1,19 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import dioph.arith as arith
 from dioph.arith import (
     DomainError,
+    InternalConsistencyError,
     Quad,
     Real,
     cmp_certified,
     enc_intersect,
+    exact_cmp,
     format_rat,
     iroot,
     parse_rat,
@@ -170,6 +174,121 @@ def test_quad_sign_and_order():
     # cross-field comparison falls back to enclosures
     r3 = surd(F(0), F(1), 3)
     assert cmp_certified(r2, r3, 128).is_less
+
+
+# 100003 is a prime above the trial-division bound of the radicand split, so
+# surd() cannot reduce 2*100003^2 to 2; the field must be recognised exactly
+BIG_PRIME = 100003
+
+
+def test_same_field_recognised_without_factoring():
+    a = surd(F(0), F(BIG_PRIME), 2)
+    b = surd(F(0), F(1), 2 * BIG_PRIME**2)
+    assert cmp_certified(a, b).is_equal
+    assert a - b == 0 and b - a == 0
+    assert a + b == surd(F(0), F(2 * BIG_PRIME), 2)
+    assert exact_cmp(a, b) == 0
+    assert exact_cmp(a + F(1, 10**9), b) == 1 and exact_cmp(b, a + 1) == -1
+    assert a / b == 1 and b * b == 2 * BIG_PRIME**2
+
+
+def _rand_rat(rng):
+    return F(rng.randint(-12, 12), rng.randint(1, 9))
+
+
+def test_exact_cmp_matches_enclosures_and_rejects_distinct_fields(rng):
+    for _ in range(200):
+        d = rng.choice([2, 3, 5, 8, 12])
+        x = surd(_rand_rat(rng), _rand_rat(rng), d)
+        y = rng.choice([_rand_rat(rng), surd(_rand_rat(rng), _rand_rat(rng), d)])
+        c = exact_cmp(x, y)
+        assert c == {"less": -1, "equal": 0, "greater": 1}[cmp_certified(x, y).kind]
+        assert exact_cmp(y, x) == -c
+    with pytest.raises(InternalConsistencyError):
+        exact_cmp(surd(F(0), F(1), 2), surd(F(0), F(1), 3))
+
+
+# radicands grouped by the square-free kernel of their field
+FIELD_GROUPS = {
+    2: [2, 8, 50, 2 * BIG_PRIME**2],
+    3: [3, 12, 27, 3 * BIG_PRIME**2],
+    5: [5, 20, 45],
+    7: [7, 28, 4 * 7 * 9],
+}
+
+
+def _ref_binop(x, yab, op):
+    """Result of op routed through surd(), from components over sqrt(x.d)."""
+    a1, b1, a2, b2, d = x.a, x.b, yab[0], yab[1], x.d
+    if op == "add":
+        return surd(a1 + a2, b1 + b2, d)
+    if op == "sub":
+        return surd(a1 - a2, b1 - b2, d)
+    if op == "rsub":
+        return surd(a2 - a1, b2 - b1, d)
+    if op == "mul":
+        return surd(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, d)
+    norm = a2 * a2 - b2 * b2 * d
+    return surd((a1 * a2 - b1 * b2 * d) / norm, (b1 * a2 - a1 * b2) / norm, d)
+
+
+def _same(z, ref):
+    assert type(z) is type(ref)
+    assert z == ref  # dataclass equality: the very same (a, b, d)
+
+
+def test_in_field_arithmetic_equals_surd_routing(rng, monkeypatch):
+    ops = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+           "rsub": lambda x, y: y - x, "mul": lambda x, y: x * y,
+           "div": lambda x, y: x / y}
+
+    def no_split(_d):
+        raise AssertionError("radicand split inside a field")
+
+    # the references route through surd(); memoise its split of the few radicands
+    split = functools.lru_cache(arith._square_free_split)
+    monkeypatch.setattr(arith, "_square_free_split", split)
+    for _ in range(300):
+        kernel = rng.choice(sorted(FIELD_GROUPS))
+        d1, d2 = rng.choice(FIELD_GROUPS[kernel]), rng.choice(FIELD_GROUPS[kernel])
+        x = surd(_rand_rat(rng), _rand_rat(rng) or F(1), d1)
+        # sqrt(x.d) = sx*sqrt(kernel) and sqrt(d2) = s2*sqrt(kernel)
+        sx, s2 = math.isqrt(x.d // kernel), math.isqrt(d2 // kernel)
+        if rng.random() < 0.2:  # the same value written over another radicand
+            y = surd(x.a, x.b * F(sx, s2), d2)
+        else:
+            y = surd(_rand_rat(rng), _rand_rat(rng), d2)
+        r = _rand_rat(rng) or F(1)
+        if isinstance(y, Quad):  # components of y over sqrt(x.d)
+            t = F(math.isqrt(y.d // kernel), sx)
+            yab = (y.a, y.b * t)
+        else:
+            yab = (y, F(0))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(arith, "_square_free_split", no_split)
+            results = {op: fn(x, y) for op, fn in ops.items() if op != "div" or y != 0}
+            scalar = [x + r, r + x, x - r, r - x, x * r, r * x, x / r, r / x]
+            unary = [-x, x.conjugate(), x.inverse(), x ** 2, x ** -2]
+        for op, z in results.items():
+            if op == "rsub" and isinstance(y, Quad):  # y.__sub__ answers in y's field
+                ref = _ref_binop(y, (x.a, x.b / t), "sub")
+            else:
+                ref = _ref_binop(x, yab, op)
+            _same(z, ref)
+        norm = x.a * x.a - x.b * x.b * x.d
+        inv = surd(x.a / norm, -x.b / norm, x.d)
+        rab = (r, F(0))
+        refs = [_ref_binop(x, rab, "add")] * 2 + [
+            _ref_binop(x, rab, "sub"), _ref_binop(x, rab, "rsub")] + [
+            _ref_binop(x, rab, "mul")] * 2 + [
+            _ref_binop(x, rab, "div"), surd(r * inv.a, r * inv.b, x.d)]
+        for z, ref in zip(scalar, refs):
+            _same(z, ref)
+        for z, ref in zip(unary, [surd(-x.a, -x.b, x.d), surd(x.a, -x.b, x.d), inv,
+                                  _ref_binop(x, (x.a, x.b), "mul"),
+                                  _ref_binop(inv, (inv.a, inv.b), "mul")]):
+            _same(z, ref)
 
 
 def test_quad_enclosure_contains_and_narrows():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import dioph
+from dioph import arith, contfrac, quality
 from dioph.cli import run
 
 
@@ -192,6 +195,50 @@ def test_precision_cap_env(tmp_path, monkeypatch):
     assert json.loads(data)["value"]["bits"] == 64
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-64", "12.5", ""])
+def test_precision_cap_env_invalid(monkeypatch, capsys, value):
+    monkeypatch.setenv("DIOPH_PRECISION_CAP", value)
+    assert run(["cf", "--alpha", "quad:0,2,1", "--depth", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dioph: error: DIOPH_PRECISION_CAP")
+    assert "Traceback" not in err
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_gamma_builds_each_row_once(tmp_path, monkeypatch):
+    rows = _counting(monkeypatch, quality, "_row")
+    code, data = _run_to_file(tmp_path, "g.json",
+                              ["gamma", "--alpha", "quad:-1,5,2", "--tau", "1",
+                               "--depth", "40"])
+    assert code == 0
+    depth_used = json.loads(data)["gamma"]["depth_used"]
+    assert depth_used == 40
+    assert len(rows) == depth_used + 1
+
+
+@pytest.mark.parametrize("depth", ["5", "80"])
+def test_gamma_splits_the_radicand_at_most_twice(tmp_path, monkeypatch, depth):
+    calls = _counting(monkeypatch, arith, "_square_free_split")
+    monkeypatch.setattr(contfrac, "_square_free_split", arith._square_free_split)
+    alpha = "quad:1,33554435,3"  # 25-bit radicand, scaled by q^2 = 9 in the tails
+    code, data = _run_to_file(tmp_path, "g.json",
+                              ["gamma", "--alpha", alpha, "--tau", "1", "--depth", depth])
+    assert code == 0
+    assert len(json.loads(data)["rows"]) == int(depth) + 1
+    assert len(calls) <= 2
+
+
 def test_determinism_repeated_runs(tmp_path):
     commands = [
         ["cf", "--alpha", "quad:-1,5,2", "--depth", "12"],
@@ -227,10 +274,14 @@ def test_render_svg_rows_and_empty_bar():
 
 
 def test_console_entry_point_subprocess():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(dioph.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "dioph.cli", "set", "--gamma", "1/10",
          "--tau", "4", "--qmax", "2"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["measure"] == "127/160"

@@ -9,6 +9,7 @@ from dioph.contfrac import (
     QuadraticAlpha,
     RationalAlpha,
     UndefinedTailError,
+    _quad_cycle,
     alpha_real,
     cf_cycle,
     cf_expand,
@@ -20,6 +21,7 @@ from dioph.contfrac import (
     tail,
     value_of,
 )
+from tests.conftest import random_quadratic
 
 GOLDEN = QuadraticAlpha(-1, 5, 2)   # (sqrt5 - 1)/2
 SQRT2 = QuadraticAlpha(0, 2, 1)
@@ -125,7 +127,6 @@ def test_tail_rational_errors():
 
 
 def test_best_approximation_sandwich(rng):
-    from tests.conftest import random_quadratic
     for _ in range(20):
         alpha = random_quadratic(rng)
         v = alpha.value()
@@ -193,3 +194,19 @@ def test_alpha_real_prefix_interval():
     a = PrefixAlpha((0, 2, 2))
     enc = alpha_real(a).enclose(64)
     assert (enc.lo, enc.hi) == (F(2, 5), F(3, 7))
+
+
+def test_tail_and_value_match_surd_routing(rng):
+    # the field is reduced once per alpha; every tail must still be the Quad
+    # surd() builds from the normalised radicand D
+    for _ in range(60):
+        alpha = random_quadratic(rng)
+        assert alpha.value() == surd(F(alpha.p, alpha.q), F(1, alpha.q), alpha.d)
+        _start, _period, _quotients, states, d = _quad_cycle(alpha.p, alpha.d, alpha.q)
+        for n, (pp, qq) in enumerate(states[:12]):
+            assert tail(alpha, n, 64).exact == surd(F(pp, qq), F(1, qq), d)
+
+
+def test_quad_cycle_cache_is_bounded():
+    maxsize = _quad_cycle.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 256
