@@ -501,6 +501,14 @@ def exact_cmp(x: ExactValue, y: ExactValue) -> int:
     return c
 
 
+def weighted_cmp(v1: Fraction, q1: int, v2: Fraction, q2: int, k: Fraction) -> int:
+    """Exact sign of v1*q1^k - v2*q2^k for nonnegative rational v and k > 0."""
+    d, m = k.denominator, k.numerator
+    lhs = v1 ** d * Fraction(q1) ** m
+    rhs = v2 ** d * Fraction(q2) ** m
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def _exact_binop(x: ExactValue, y: ExactValue, op: str) -> Optional[ExactValue]:
     try:
         if op == "add":

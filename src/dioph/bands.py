@@ -24,6 +24,7 @@ from .arith import (
     exact_sign,
     power_sum_tail,
     surd,
+    weighted_cmp,
 )
 
 TauLike = Union[Fraction, int, Quad]
@@ -264,16 +265,6 @@ def bands_union_tail(tau: Fraction, c1: Fraction, c2: Fraction, q_max: int,
 # Margin of 1/gamma against fractions p/q^tau
 # ---------------------------------------------------------------------------
 
-def _weighted_cmp(v1: Fraction, q1: int, v2: Fraction, q2: int, k: Fraction) -> int:
-    """Exact sign of v1*q1^k - v2*q2^k for nonnegative rational v."""
-    if v1 == 0 or v2 == 0:
-        return (v2 == 0) - (v1 == 0) if (v1 == 0) != (v2 == 0) else 0
-    d = k.denominator
-    lhs = v1 ** d * Fraction(q1) ** k.numerator
-    rhs = v2 ** d * Fraction(q2) ** k.numerator
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def power_approx_margin(gamma: Fraction, tau: Fraction, k: Fraction, qmax: int,
                         precision: int = DEFAULT_PRECISION
                         ) -> tuple[RealEnclosure, tuple[int, int]]:
@@ -304,7 +295,7 @@ def power_approx_margin(gamma: Fraction, tau: Fraction, k: Fraction, qmax: int,
             if p < 0:
                 continue
             v = abs(inv - Fraction(p, q ** t))
-            if best_v is None or _weighted_cmp(v, q, best_v, best[0], k) < 0:
+            if best_v is None or weighted_cmp(v, q, best_v, best[0], k) < 0:
                 best_v, best = v, (q, p)
         if best_v == 0:
             break

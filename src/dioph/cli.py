@@ -6,7 +6,8 @@ no binary floating point enters the pipeline.  Output is deterministic:
 identical invocations produce identical bytes (an optional footer with a
 timestamp is off by default).  Exit codes: 0 success, 1 usage error, 2 when
 any requested verdict is unresolved at the precision cap (results are still
-emitted, marked "unresolved"/"unknown").
+emitted, marked "unresolved"/"unknown"), 3 when an internal consistency check
+fails (a bug, reported as "dioph: internal error: ..." on stderr).
 """
 
 from __future__ import annotations
@@ -17,23 +18,29 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import bands as bands_mod
 from . import dioset, quality, topology
-from .arith import DomainError, RealEnclosure, format_rat, parse_rat
+from .arith import (
+    DomainError,
+    InternalConsistencyError,
+    RealEnclosure,
+    format_rat,
+    parse_rat,
+)
 from .contfrac import (
-    QuadraticAlpha,
     alpha_real,
     cf_cycle,
     cf_expand,
-    cf_length,
     convergents,
     format_alpha,
     parse_alpha,
 )
+from .quality import _gamma_report
 from .svgplot import render_svg
 
 DEFAULT_PREC = 256
@@ -90,7 +97,7 @@ def _cmd_cf(args) -> int:
     quotients = cf_expand(alpha, args.depth)
     table = convergents(quotients)
     pre = per = None
-    if isinstance(alpha, QuadraticAlpha):
+    if alpha.length is None:
         pre, per = cf_cycle(alpha)
     enc = alpha_real(alpha).enclose(args.prec)
     payload = {
@@ -98,7 +105,7 @@ def _cmd_cf(args) -> int:
         "quotients": quotients,
         "preperiod": pre,
         "period": per,
-        "terminates": cf_length(alpha) is not None and not isinstance(alpha, QuadraticAlpha),
+        "terminates": alpha.terminates,
         "value": _enc_obj(enc),
         "convergents": [
             {"n": n, "a": a, "p": p, "q": q, "parity": parity}
@@ -127,7 +134,7 @@ def _gamma_result_obj(res: quality.GammaResult):
 def _cmd_gamma(args) -> int:
     alpha = parse_alpha(args.alpha)
     tau = parse_rat(args.tau)
-    res, even, odd, quality_rows = quality._gamma_report(alpha, tau, args.depth, args.prec)
+    res, even, odd, quality_rows = _gamma_report(alpha, tau, args.depth, args.prec)
     rows = [{"n": row.n, "q": row.q, "p": row.p, "enclosure": _enc_obj(row.enclosure)}
             for row in quality_rows]
     payload = {
@@ -185,17 +192,24 @@ def _cached_set_payload(args, gamma: Fraction, tau: Fraction, qmax: int, prec: i
     cache_dir = Path(args.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{digest}.json"
-    if path.exists():
+    try:
         entry = json.loads(path.read_text())
-        payload = entry["value"]
-        return payload, dioset.IntervalSet.from_obj(payload["intervals"])
+        if entry["key"] == key:
+            payload = entry["value"]
+            return payload, dioset.IntervalSet.from_obj(payload["intervals"])
+    except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError):
+        pass  # missing, unreadable or malformed: a miss, rewritten below
     payload, s = _set_payload(gamma, tau, qmax, prec)
     entry = {
         "key": key,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "value": payload,
     }
-    path.write_text(json.dumps(entry, indent=2) + "\n")
+    # a reader never sees a half-written entry
+    with tempfile.NamedTemporaryFile("w", dir=cache_dir, suffix=".tmp",
+                                     delete=False) as fh:
+        fh.write(json.dumps(entry, indent=2) + "\n")
+    os.replace(fh.name, path)
     return payload, s
 
 
@@ -451,7 +465,8 @@ def _build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    """Entry point returning the exit code (0 ok, 1 usage, 2 unresolved)."""
+    """Entry point returning the exit code (0 ok, 1 usage, 2 unresolved,
+    3 internal error)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -460,6 +475,9 @@ def run(argv=None) -> int:
     except DomainError as exc:
         print(f"dioph: error: {exc}", file=sys.stderr)
         return 1
+    except InternalConsistencyError as exc:
+        print(f"dioph: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,25 @@ Three kinds of input number are supported:
 * ``PrefixAlpha`` — a finite list of known quotients plus an interval
   [tail_low, tail_high] asserted to contain EVERY tail value at or beyond the
   end of the prefix (the weakest sound default is [1, inf)).
+
+Every kind answers the same questions, so no other module tests the kind
+(``quality.brute_force_gamma`` alone picks its algorithm by it):
+
+* ``length`` — the number of quotients; ``None`` for a quadratic.
+* ``terminates`` — ``True`` for a rational, ``False`` for a quadratic and
+  ``None`` (unknown) for a prefix.
+* ``quotients_to(stop)`` — a_0 .. a_{stop-1}, cut short where a rational
+  ends or a prefix runs out.
+* ``tail(n)`` — alpha_n = [a_n; a_{n+1}, ...] as a ``Real``: exact, except
+  for a prefix, where it is the image of [tail_low, tail_high].
+* ``real()``, ``reflect()`` (1 - alpha, same kind) and ``spec()`` (CLI form).
+* ``depth_used(depth)`` — the deepest row a bracket reads: the last row of a
+  rational, at least the preperiod of a quadratic, at most a prefix's end.
+* ``deep_row_floor(table, depth, parity)`` — ``(c, q)`` such that every
+  quality row n > depth (of that parity, if given) exceeds q^(tau-1) * c,
+  with q the least deeper denominator; ``None`` when unprovable, always for
+  a rational.  c is the minimum over the cycle of 1/(alpha_{n+1} + 1/a_n)
+  for a quadratic and 1/(tail_high + 1) for a prefix with a finite bound.
 """
 
 from __future__ import annotations
@@ -49,8 +68,42 @@ class UndefinedTailError(DomainError):
 class RationalAlpha:
     value: Fraction
 
+    terminates = True
+
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
+
+    @cached_property
+    def _quotients(self) -> tuple[int, ...]:
+        return tuple(_rational_quotients(self.value))
+
+    @property
+    def length(self) -> int:
+        return len(self._quotients)
+
+    def quotients_to(self, stop: int) -> list[int]:
+        return list(self._quotients[:stop])
+
+    def tail(self, n: int) -> Real:
+        qs = self._quotients
+        if n >= len(qs):
+            raise UndefinedTailError(f"rational expansion has {len(qs)} quotients")
+        return Real.from_exact(value_of(qs[n:]))
+
+    def real(self) -> Real:
+        return Real.from_exact(self.value)
+
+    def reflect(self) -> RationalAlpha:
+        return RationalAlpha(1 - self.value)
+
+    def spec(self) -> str:
+        return f"rat:{format_rat(self.value)}"
+
+    def depth_used(self, depth: int) -> int:
+        return self.length - 1
+
+    def deep_row_floor(self, table: ConvergentTable, depth: int, parity: Optional[int]):
+        return None
 
 
 @dataclass(frozen=True)
@@ -60,6 +113,9 @@ class QuadraticAlpha:
     p: int
     d: int
     q: int
+
+    length = None
+    terminates = False
 
     def __post_init__(self):
         if self.q == 0:
@@ -76,6 +132,54 @@ class QuadraticAlpha:
         c, k = self._field
         return Quad(Fraction(self.p, self.q), Fraction(c, self.q), k)
 
+    def quotients_to(self, stop: int) -> list[int]:
+        return [_quad_quotient(self, n) for n in range(stop)]
+
+    def tail(self, n: int) -> Real:
+        return Real.from_exact(_quad_tail(self, n))
+
+    def real(self) -> Real:
+        return Real.from_exact(self.value())
+
+    def reflect(self) -> QuadraticAlpha:
+        # 1 - (P + sqrt(D))/Q = ((P - Q) + sqrt(D)) / (-Q)
+        return QuadraticAlpha(self.p - self.q, self.d, -self.q)
+
+    def spec(self) -> str:
+        return f"quad:{self.p},{self.d},{self.q}"
+
+    def depth_used(self, depth: int) -> int:
+        return max(depth, cf_cycle(self)[0], 1)
+
+    @cached_property
+    def _cycle_floors(self) -> tuple[Union[Fraction, Quad], ...]:
+        """min of 1/(alpha_{n+1} + 1/a_n) over one period of n: over every
+        n, over even n and over odd n, from one walk of the cycle."""
+        start, period = cf_cycle(self)
+        floors: list = [None, None, None]
+        for n in range(start, start + period):
+            cand = 1 / (_quad_tail(self, n + 1) + Fraction(1, _quad_quotient(self, n)))
+            for k in (0, 1 + n % 2):
+                if floors[k] is None or cand < floors[k]:
+                    floors[k] = cand
+        return tuple(floors)
+
+    def deep_row_floor(self, table: ConvergentTable, depth: int, parity: Optional[int]
+                       ) -> Optional[tuple[Union[Fraction, Quad], int]]:
+        """Each deep row satisfies gamma_n > q_n^(tau-1) / (alpha_{n+1} + 1/a_n),
+        since q_{n-1}/q_n < 1/a_n holds strictly for n >= 2; past the
+        preperiod the denominator runs over the cycle.  An odd period visits
+        every cycle position at both parities."""
+        start, period = cf_cycle(self)
+        if depth < max(start, 1):
+            return None
+        every, even, odd = self._cycle_floors
+        c = every if parity is None or period % 2 else (even, odd)[parity]
+        n1 = depth + 1
+        if parity is not None and n1 % 2 != parity:
+            n1 += 1
+        return c, _quad_denom(self, table, n1)
+
 
 @dataclass(frozen=True)
 class PrefixAlpha:
@@ -84,6 +188,8 @@ class PrefixAlpha:
     quotients: tuple[int, ...]
     tail_low: Fraction = Fraction(1)
     tail_high: Optional[Fraction] = None  # None means unbounded
+
+    terminates = None
 
     def __post_init__(self):
         qs = tuple(int(a) for a in self.quotients)
@@ -101,6 +207,62 @@ class PrefixAlpha:
             raise DomainError("tail_low must be >= 1")
         if self.tail_high is not None and self.tail_high < self.tail_low:
             raise DomainError("tail_high must be >= tail_low")
+
+    @property
+    def length(self) -> int:
+        return len(self.quotients)
+
+    def quotients_to(self, stop: int) -> list[int]:
+        return list(self.quotients[:stop])
+
+    def tail(self, n: int) -> Real:
+        lo, hi = self.tail_low, self.tail_high
+        if n >= len(self.quotients):
+            # asserted bound on every tail at or beyond the prefix end
+            return Real.from_interval(lo, hi)
+        pk, pk1, qk, qk1 = _mobius_of_word(self.quotients[n:])
+        # t -> (pk*t + pk1)/(qk*t + qk1) is monotone; evaluate at both ends
+        at_lo = Fraction(pk * lo.numerator + pk1 * lo.denominator,
+                         qk * lo.numerator + qk1 * lo.denominator)
+        if hi is None:
+            at_hi = Fraction(pk, qk)  # limit as the tail grows without bound
+        else:
+            at_hi = Fraction(pk * hi.numerator + pk1 * hi.denominator,
+                             qk * hi.numerator + qk1 * hi.denominator)
+        return Real.from_interval(min(at_lo, at_hi), max(at_lo, at_hi))
+
+    def real(self) -> Real:
+        return self.tail(0)
+
+    def reflect(self) -> PrefixAlpha:
+        qs = self.quotients
+        if qs[0] != 0 or len(qs) < 2:
+            raise DomainError("reflection needs a prefix [0; a1, ...]")
+        if qs[1] >= 2:
+            new = (0, 1, qs[1] - 1) + qs[2:]
+        else:
+            if len(qs) < 3:
+                raise DomainError("prefix too short to reflect [0; 1]")
+            new = (0, qs[2] + 1) + qs[3:]
+        return PrefixAlpha(new, self.tail_low, self.tail_high)
+
+    def spec(self) -> str:
+        body = str(self.quotients[0])
+        if len(self.quotients) > 1:
+            body += ";" + ",".join(str(a) for a in self.quotients[1:])
+        return f"cf:[{body}]"
+
+    def depth_used(self, depth: int) -> int:
+        return min(depth, len(self.quotients) - 1)
+
+    def deep_row_floor(self, table: ConvergentTable, depth: int, parity: Optional[int]
+                       ) -> Optional[tuple[Fraction, int]]:
+        """Rows beyond a fully read prefix with a finite tail bound satisfy
+        gamma_n > q_n^(tau-1) / (tail_high + 1), and q_{depth+1} is at
+        least q_depth + q_{depth-1}."""
+        if self.tail_high is None or depth < len(self.quotients) - 1:
+            return None
+        return 1 / (self.tail_high + 1), table.denom(depth) + table.denom(depth - 1)
 
 
 AlphaSpec = Union[RationalAlpha, QuadraticAlpha, PrefixAlpha]
@@ -134,14 +296,7 @@ def parse_alpha(text: str) -> AlphaSpec:
 
 
 def format_alpha(alpha: AlphaSpec) -> str:
-    if isinstance(alpha, RationalAlpha):
-        return f"rat:{format_rat(alpha.value)}"
-    if isinstance(alpha, QuadraticAlpha):
-        return f"quad:{alpha.p},{alpha.d},{alpha.q}"
-    body = str(alpha.quotients[0])
-    if len(alpha.quotients) > 1:
-        body += ";" + ",".join(str(a) for a in alpha.quotients[1:])
-    return f"cf:[{body}]"
+    return alpha.spec()
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +376,16 @@ def _quad_tail(alpha: QuadraticAlpha, n: int) -> Quad:
     return Quad(Fraction(pp, qq), Fraction(c, qq), k)
 
 
+def _quad_denom(alpha: QuadraticAlpha, table: ConvergentTable, n: int) -> int:
+    """q_n of alpha, extending the table's denominators through the cycle."""
+    if n < len(table):
+        return table.denom(n)
+    q2, q1 = table.denom(len(table) - 2), table.denom(len(table) - 1)
+    for k in range(len(table), n + 1):
+        q2, q1 = q1, _quad_quotient(alpha, k) * q1 + q2
+    return q1
+
+
 def cf_cycle(alpha: QuadraticAlpha) -> tuple[int, int]:
     """(preperiod length, period length) of a quadratic expansion."""
     start, period, _q, _s, _d = _quad_cycle(alpha.p, alpha.d, alpha.q)
@@ -235,26 +400,12 @@ def cf_expand(alpha: AlphaSpec, depth: int) -> list[int]:
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    if isinstance(alpha, RationalAlpha):
-        return _rational_quotients(alpha.value)[:depth]
-    if isinstance(alpha, QuadraticAlpha):
-        return [_quad_quotient(alpha, n) for n in range(depth)]
-    if isinstance(alpha, PrefixAlpha):
-        if depth > len(alpha.quotients):
-            raise InsufficientDataError(
-                f"prefix holds {len(alpha.quotients)} quotients, requested {depth}"
-            )
-        return list(alpha.quotients[:depth])
-    raise TypeError(f"not an AlphaSpec: {alpha!r}")
-
-
-def cf_length(alpha: AlphaSpec) -> Optional[int]:
-    """Number of stored/defined quotients, None when infinite."""
-    if isinstance(alpha, RationalAlpha):
-        return len(_rational_quotients(alpha.value))
-    if isinstance(alpha, PrefixAlpha):
-        return len(alpha.quotients)
-    return None
+    quotients = alpha.quotients_to(depth)
+    if len(quotients) < depth and alpha.terminates is None:
+        raise InsufficientDataError(
+            f"prefix holds {len(quotients)} quotients, requested {depth}"
+        )
+    return quotients
 
 
 # ---------------------------------------------------------------------------
@@ -349,31 +500,7 @@ def tail_real(alpha: AlphaSpec, n: int) -> Real:
     """The tail value alpha_n = [a_n; a_{n+1}, ...] as a certified real."""
     if n < 0:
         raise DomainError("tail index must be >= 0")
-    if isinstance(alpha, RationalAlpha):
-        qs = _rational_quotients(alpha.value)
-        if n >= len(qs):
-            raise UndefinedTailError(f"rational expansion has {len(qs)} quotients")
-        return Real.from_exact(value_of(qs[n:]))
-    if isinstance(alpha, QuadraticAlpha):
-        return Real.from_exact(_quad_tail(alpha, n))
-    if isinstance(alpha, PrefixAlpha):
-        length = len(alpha.quotients)
-        lo, hi = alpha.tail_low, alpha.tail_high
-        if n >= length:
-            # asserted bound on every tail at or beyond the prefix end
-            return Real.from_interval(lo, hi)
-        word = alpha.quotients[n:]
-        pk, pk1, qk, qk1 = _mobius_of_word(word)
-        # t -> (pk*t + pk1)/(qk*t + qk1) is monotone; evaluate at both ends
-        at_lo = Fraction(pk * lo.numerator + pk1 * lo.denominator,
-                         qk * lo.numerator + qk1 * lo.denominator)
-        if hi is None:
-            at_hi = Fraction(pk, qk)  # limit as the tail grows without bound
-        else:
-            at_hi = Fraction(pk * hi.numerator + pk1 * hi.denominator,
-                             qk * hi.numerator + qk1 * hi.denominator)
-        return Real.from_interval(min(at_lo, at_hi), max(at_lo, at_hi))
-    raise TypeError(f"not an AlphaSpec: {alpha!r}")
+    return alpha.tail(n)
 
 
 def tail(alpha: AlphaSpec, n: int, precision_bits: int) -> TailValue:
@@ -383,11 +510,7 @@ def tail(alpha: AlphaSpec, n: int, precision_bits: int) -> TailValue:
 
 def alpha_real(alpha: AlphaSpec) -> Real:
     """The number alpha itself as a certified real."""
-    if isinstance(alpha, RationalAlpha):
-        return Real.from_exact(alpha.value)
-    if isinstance(alpha, QuadraticAlpha):
-        return Real.from_exact(alpha.value())
-    return tail_real(alpha, 0)
+    return alpha.real()
 
 
 # ---------------------------------------------------------------------------
@@ -432,18 +555,4 @@ def quadratic_from_periodic(prefix: Sequence[int], cycle: Sequence[int]) -> Quad
 
 def one_minus(alpha: AlphaSpec) -> AlphaSpec:
     """The reflection 1 - alpha, preserving the representation kind."""
-    if isinstance(alpha, RationalAlpha):
-        return RationalAlpha(1 - alpha.value)
-    if isinstance(alpha, QuadraticAlpha):
-        # 1 - (P + sqrt(D))/Q = ((P - Q) + sqrt(D)) / (-Q)
-        return QuadraticAlpha(alpha.p - alpha.q, alpha.d, -alpha.q)
-    qs = alpha.quotients
-    if qs[0] != 0 or len(qs) < 2:
-        raise DomainError("reflection needs a prefix [0; a1, ...]")
-    if qs[1] >= 2:
-        new = (0, 1, qs[1] - 1) + qs[2:]
-    else:
-        if len(qs) < 3:
-            raise DomainError("prefix too short to reflect [0; 1]")
-        new = (0, qs[2] + 1) + qs[3:]
-    return PrefixAlpha(new, alpha.tail_low, alpha.tail_high)
+    return alpha.reflect()

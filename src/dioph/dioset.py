@@ -24,6 +24,7 @@ from .arith import (
     parse_rat,
     rat_sum_tail_bound,
 )
+from .contfrac import _rational_quotients
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +196,6 @@ def farey_next(a: int, b: int, c: int, d: int, n: int) -> tuple[int, int]:
     return k * c - a, k * d - b
 
 
-def _rational_cf(p: int, q: int) -> list[int]:
-    out = []
-    while q:
-        a, r = divmod(p, q)
-        out.append(a)
-        p, q = q, r
-    return out
-
-
 def _stern_brocot_pair(x: Fraction, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Consecutive fractions of F_n straddling x: a/b <= x <= c/d.
 
@@ -219,7 +211,7 @@ def _stern_brocot_pair(x: Fraction, n: int) -> tuple[tuple[int, int], tuple[int,
         return t, t
     h2, k2 = 0, 1   # convergent before the previous one
     h1, k1 = 1, 0   # previous convergent
-    for a in _rational_cf(x.numerator, x.denominator):
+    for a in _rational_quotients(x):
         h, k = a * h1 + h2, a * k1 + k2
         if k > n:
             break
@@ -232,20 +224,11 @@ def _stern_brocot_pair(x: Fraction, n: int) -> tuple[tuple[int, int], tuple[int,
     return semi, conv
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
 def _farey_predecessor(p: int, q: int, n: int) -> tuple[int, int]:
     """Immediate predecessor of p/q in F_n (p/q reduced, q <= n)."""
     if (p, q) == (0, 1):
         return -1, 1  # sentinel below the domain; farey_next recovers 1/n
-    g, binv, _ = _ext_gcd(p, q)
-    assert g == 1
-    b0 = binv % q
+    b0 = pow(p, -1, q)
     b = b0 + ((n - b0) // q) * q
     a = (p * b - 1) // q
     return a, b

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -27,19 +28,14 @@ from .arith import (
     exact_cmp,
     exact_enclose,
     surd,
+    weighted_cmp,
 )
 from .contfrac import (
     AlphaSpec,
     ConvergentTable,
-    PrefixAlpha,
     QuadraticAlpha,
     RationalAlpha,
-    _quad_cycle,
-    _quad_quotient,
-    _quad_tail,
-    _rational_quotients,
     alpha_real,
-    cf_length,
     convergents,
     tail_real,
 )
@@ -98,17 +94,6 @@ class MembershipVerdict:
 # Rows
 # ---------------------------------------------------------------------------
 
-def _quotients_to(alpha: AlphaSpec, depth: int) -> list[int]:
-    """Quotients a_0..a_depth, truncated at the exact end for finite kinds."""
-    length = cf_length(alpha)
-    stop = depth + 1 if length is None else min(depth + 1, length)
-    if isinstance(alpha, QuadraticAlpha):
-        return [_quad_quotient(alpha, k) for k in range(stop)]
-    if isinstance(alpha, RationalAlpha):
-        return _rational_quotients(alpha.value)[:stop]
-    return list(alpha.quotients[:stop])
-
-
 def _row_reals(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int
                ) -> tuple[Real, Optional[Real]]:
     """Direct-route and tail-route values of row n (tail route None at the
@@ -116,8 +101,7 @@ def _row_reals(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int
     qn, pn = table.denom(n), table.numer(n)
     pow_tau = Real.power(Fraction(qn), tau)
     direct = pow_tau * abs(alpha_real(alpha) * qn - pn)
-    length = cf_length(alpha)
-    if length is not None and n + 1 >= length:
+    if alpha.length is not None and n + 1 >= alpha.length:
         return direct, None
     t_next = tail_real(alpha, n + 1)
     fond = pow_tau / (t_next * qn + table.denom(n - 1))
@@ -148,43 +132,35 @@ def gamma_n(alpha: AlphaSpec, tau: Fraction, n: int, precision: int = DEFAULT_PR
         raise DomainError("tau must be >= 1")
     if n < 0:
         raise DomainError("row index must be >= 0")
-    quotients = _quotients_to(alpha, n)
-    if len(quotients) <= n:
-        raise DomainError(f"expansion has no convergent {n}")
-    table = convergents(quotients)
-    return _row(alpha, tau, table, n, precision)
+    return _row(alpha, tau, _table_to(alpha, n), n, precision)
 
 
-def _rows_to(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int
-             ) -> tuple[ConvergentTable, list[QualityRow]]:
-    quotients = _quotients_to(alpha, depth)
-    table = convergents(quotients)
-    rows = [_row(alpha, tau, table, n, precision) for n in range(len(quotients))]
-    return table, rows
-
-
-def _depth_used(alpha: AlphaSpec, depth: int) -> int:
-    """Deepest row a bracket reads: the whole expansion of a rational, at
-    least the preperiod of a quadratic, at most the stored prefix."""
-    if isinstance(alpha, RationalAlpha):
-        return len(_rational_quotients(alpha.value)) - 1
-    if isinstance(alpha, QuadraticAlpha):
-        start = _quad_cycle(alpha.p, alpha.d, alpha.q)[0]
-        return max(depth, start, 1)
-    return min(depth, len(alpha.quotients) - 1)
+def _table_to(alpha: AlphaSpec, depth: int) -> ConvergentTable:
+    """Convergents 0..depth; an error when the expansion ends sooner."""
+    quotients = alpha.quotients_to(depth + 1)
+    if len(quotients) <= depth:
+        raise DomainError(f"expansion provides no convergent {depth}")
+    return convergents(quotients)
 
 
 @dataclass(frozen=True)
 class _GammaRows:
-    """Rows 0..depth of one (alpha, tau) request, built once and reduced by
-    gamma_of, gamma_parity and the CLI."""
+    """Rows 0..depth of one (alpha, tau) request, built once on first use and
+    read by gamma_of, gamma_parity, membership, detect_isolation and the CLI."""
 
     alpha: AlphaSpec
     tau: Fraction
     depth: int
-    table: ConvergentTable
-    rows: list[QualityRow]
     precision: int
+
+    @cached_property
+    def table(self) -> ConvergentTable:
+        return _table_to(self.alpha, self.depth)
+
+    @cached_property
+    def rows(self) -> list[QualityRow]:
+        return [_row(self.alpha, self.tau, self.table, n, self.precision)
+                for n in range(len(self.table))]
 
 
 def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int
@@ -194,75 +170,18 @@ def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int
         raise DomainError("tau must be >= 1")
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    depth = _depth_used(alpha, depth)
-    table, rows = _rows_to(alpha, tau, depth, precision)
-    return _GammaRows(alpha, tau, depth, table, rows, precision)
+    return _GammaRows(alpha, tau, alpha.depth_used(depth), precision)
 
 
-# ---------------------------------------------------------------------------
-# Tail lower bounds (certification)
-# ---------------------------------------------------------------------------
-
-def _quad_tail_lower(alpha: QuadraticAlpha, tau: Fraction, table: ConvergentTable,
-                     depth: int, parity: Optional[int], precision: int
-                     ) -> Optional[Real]:
-    """Proven strict lower bound for every row n > depth (restricted to a
-    parity if given).  Uses the exact cycle: each deep row satisfies
-    gamma_n > q_n^(tau-1) / (alpha_{n+1} + 1/a_n), since q_{n-1}/q_n < 1/a_n
-    holds strictly for n >= 2."""
-    start, period = _quad_cycle(alpha.p, alpha.d, alpha.q)[:2]
-    if depth < max(start, 1):
-        return None
-    positions = range(period)
-    if parity is not None and period % 2 == 0:
-        positions = [j for j in positions if (start + j) % 2 == parity]
-        if not positions:  # parity never reached in the cycle
-            return None
-    bound: Optional[Union[Fraction, Quad]] = None
-    for j in positions:
-        idx = start + j
-        a_idx = _quad_quotient(alpha, idx)
-        t_next = _quad_tail(alpha, idx + 1)
-        cand = 1 / (t_next + Fraction(1, a_idx))
-        if bound is None or cand < bound:
-            bound = cand
-    # smallest denominator among uncomputed rows of the requested parity
-    n1 = depth + 1
-    if parity is not None and n1 % 2 != parity:
-        n1 += 1
-    q_n1 = _quad_denom(alpha, table, n1)
-    return Real.power(Fraction(q_n1), tau - 1) * Real.from_exact(bound)
-
-
-def _quad_denom(alpha: QuadraticAlpha, table: ConvergentTable, n: int) -> int:
-    if n < len(table):
-        return table.denom(n)
-    q2, q1 = table.denom(len(table) - 2), table.denom(len(table) - 1)
-    for k in range(len(table), n + 1):
-        q2, q1 = q1, _quad_quotient(alpha, k) * q1 + q2
-    return q1
-
-
-def _prefix_tail_lower(alpha: PrefixAlpha, tau: Fraction, table: ConvergentTable,
-                       depth: int, precision: int) -> Optional[Real]:
-    """Bound for rows beyond a fully-computed prefix with a finite tail bound:
-    gamma_n > q_n^(tau-1) / (tail_high + 1)."""
-    if alpha.tail_high is None or depth < len(alpha.quotients) - 1:
-        return None
-    q_lb = table.denom(depth) + table.denom(depth - 1)
-    return Real.power(Fraction(q_lb), tau - 1) * (1 / (alpha.tail_high + 1))
-
-
-def _tail_lower(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable,
-                depth: int, parity: Optional[int], precision: int
-                ) -> Optional[Real]:
+def _tail_lower(g: _GammaRows, parity: Optional[int]) -> Optional[Real]:
     """Strict lower bound (as a certified real) valid for every quality row
-    deeper than `depth`, or None when no such bound is provable."""
-    if isinstance(alpha, QuadraticAlpha):
-        return _quad_tail_lower(alpha, tau, table, depth, parity, precision)
-    if isinstance(alpha, PrefixAlpha):
-        return _prefix_tail_lower(alpha, tau, table, depth, precision)
-    return None
+    deeper than g.depth (of the given parity, if any), or None when no such
+    bound is provable."""
+    floor = g.alpha.deep_row_floor(g.table, g.depth, parity)
+    if floor is None:
+        return None
+    c, q = floor
+    return Real.power(Fraction(q), g.tau - 1) * Real.from_exact(c)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +214,13 @@ def _reduce_rows(rows: list[QualityRow], tail_bound: Optional[Real],
 
 
 def _bracket(g: _GammaRows) -> GammaResult:
-    alpha, depth = g.alpha, g.depth
-    if isinstance(alpha, RationalAlpha):
+    if g.alpha.terminates:
         return GammaResult(lower=Fraction(0), upper=Fraction(0),
-                           argmin_candidates=(depth,), certified=True,
-                           depth_used=depth)
-    if isinstance(alpha, PrefixAlpha) and depth < 1:
+                           argmin_candidates=(g.depth,), certified=True,
+                           depth_used=g.depth)
+    if g.depth < 1:
         raise DomainError("prefix too short for any quality row beyond n=0")
-    tail_bound = _tail_lower(alpha, g.tau, g.table, depth, None, g.precision)
-    return _reduce_rows(g.rows, tail_bound, g.precision, depth)
+    return _reduce_rows(g.rows, _tail_lower(g, None), g.precision, g.depth)
 
 
 def _parity_brackets(g: _GammaRows) -> tuple[GammaResult, GammaResult]:
@@ -313,12 +230,11 @@ def _parity_brackets(g: _GammaRows) -> tuple[GammaResult, GammaResult]:
         if not sub:
             results.append(GammaResult(Fraction(0), Fraction(0), (), False, g.depth))
             continue
-        if isinstance(g.alpha, RationalAlpha):
+        if g.alpha.terminates:
             # finite expansion: no deeper rows exist, any nonnegative bound works
-            results.append(_reduce_rows(sub, Real.from_exact(sub[0].enclosure.hi),
-                                        g.precision, g.depth))
-            continue
-        tail_bound = _tail_lower(g.alpha, g.tau, g.table, g.depth, parity, g.precision)
+            tail_bound = Real.from_exact(sub[0].enclosure.hi)
+        else:
+            tail_bound = _tail_lower(g, parity)
         results.append(_reduce_rows(sub, tail_bound, g.precision, g.depth))
     return results[0], results[1]
 
@@ -382,16 +298,6 @@ def _nearest_int(x: int, y: int, z: int, d: int) -> int:
     return _floor_quad_int(2 * x + z, 2 * y, 2 * z, d)
 
 
-def _weighted_lt(d1: Fraction, q1: int, d2: Fraction, q2: int, tau: Fraction) -> bool:
-    """Exact comparison d1*q1^tau < d2*q2^tau for nonnegative rational d."""
-    if d1 == 0:
-        return d2 != 0
-    if d2 == 0:
-        return False
-    k, m = tau.denominator, tau.numerator
-    return d1 ** k * Fraction(q1) ** m < d2 ** k * Fraction(q2) ** m
-
-
 def _dist_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Range of distance-to-nearest-integer over [lo, hi]."""
     if hi - lo >= 1:
@@ -426,7 +332,7 @@ def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
         for q in range(1, qmax + 1):
             r = (q * a) % b
             dist = Fraction(min(r, b - r), b)
-            if best is None or _weighted_lt(dist, q, best, best_q, tau):
+            if best is None or weighted_cmp(dist, q, best, best_q, tau) < 0:
                 best, best_q = dist, q
             if best == 0:
                 break
@@ -476,36 +382,39 @@ def membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
     sufficient because the infimum of q^tau*||q*alpha|| is realized along
     convergent denominators.
     """
+    return _membership(alpha, gamma, tau, depth_budget, precision)[0]
+
+
+def _membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
+                depth_budget: int, precision: int
+                ) -> tuple[MembershipVerdict, _GammaRows]:
+    """The membership verdict and the rows it reads (built on first use)."""
     gamma, tau = Fraction(gamma), Fraction(tau)
     if gamma <= 0:
         raise DomainError("gamma must be positive")
     if tau < 1:
         raise DomainError("tau must be >= 1")
     _check_unit_interval(alpha)
-    if isinstance(alpha, RationalAlpha):
-        qs = _rational_quotients(alpha.value)
-        table = convergents(qs)
-        n = len(qs) - 1
-        return MembershipVerdict(kind="out", witness_q=table.denom(n),
-                                 witness_p=table.numer(n), budget_spent=n,
-                                 lower=Fraction(0), upper=Fraction(0))
-    depth = _depth_used(alpha, depth_budget)
-    table, rows = _rows_to(alpha, tau, depth, precision)
-    for r in rows:
+    g = _GammaRows(alpha, tau, alpha.depth_used(depth_budget), precision)
+    depth = g.depth
+    if alpha.terminates:
+        return MembershipVerdict(kind="out", witness_q=g.table.denom(depth),
+                                 witness_p=g.table.numer(depth), budget_spent=depth,
+                                 lower=Fraction(0), upper=Fraction(0)), g
+    for r in g.rows:
         if r.exact is not None:
             below = exact_cmp(r.exact, gamma) < 0
         else:
             below = r.enclosure.hi < gamma
         if below:
             return MembershipVerdict(kind="out", witness_q=r.q, witness_p=r.p,
-                                     budget_spent=r.n)
-    tail_bound = _tail_lower(alpha, tau, table, depth, None, precision)
-    result = _reduce_rows(rows, tail_bound, precision, depth)
+                                     budget_spent=r.n), g
+    result = _reduce_rows(g.rows, _tail_lower(g, None), precision, depth)
     if result.certified and result.lower >= gamma:
         return MembershipVerdict(kind="in", certified=True, budget_spent=depth,
-                                 lower=result.lower, upper=result.upper)
+                                 lower=result.lower, upper=result.upper), g
     return MembershipVerdict(kind="unknown", budget_spent=depth,
-                             lower=result.lower, upper=result.upper)
+                             lower=result.lower, upper=result.upper), g
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +430,14 @@ def tau_bounds(alpha: AlphaSpec, depth: int) -> tuple[Fraction, Optional[Fractio
     """
     if depth < 2:
         raise DomainError("depth must be >= 2")
-    if isinstance(alpha, RationalAlpha):
+    if alpha.terminates:
         raise DomainError("rational numbers have no Diophantine exponent "
                           "(the quality infimum vanishes for every tau)")
-    if isinstance(alpha, QuadraticAlpha):
+    # an infinite exact expansion is periodic; a prefix has bounded quotients
+    # when its asserted tail bound is finite
+    if alpha.length is None or alpha.tail(alpha.length).enclose(64).hi is not None:
         return Fraction(1), Fraction(1)
-    if alpha.tail_high is not None:
-        return Fraction(1), Fraction(1)
-    quotients = _quotients_to(alpha, depth)
+    quotients = alpha.quotients_to(depth + 1)
     table = convergents(quotients)
     best = Fraction(1)
     resolution = 16

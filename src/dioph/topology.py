@@ -13,44 +13,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .arith import (
     DEFAULT_PRECISION,
     PRECISION_CAP,
     DomainError,
-    Quad,
     Real,
     RealEnclosure,
-    _exact_binop,
     cmp_certified,
-    exact_sign,
+    exact_cmp,
     power_sum_tail,
 )
-from .contfrac import (
-    AlphaSpec,
-    ConvergentTable,
-    PrefixAlpha,
-    RationalAlpha,
-    convergents,
-)
+from .contfrac import AlphaSpec, ConvergentTable
 from .dioset import (
     exclusion_radius,
     fractions_in_interval,
     union_open_measure,
 )
-from .quality import _quotients_to, _rows_to, _tail_lower, membership
+from .quality import _membership, _table_to, _tail_lower
 
 HOLDS = "holds"
 FAILS = "fails"
 UNRESOLVED = "unresolved"
-
-
-def _table_to(alpha: AlphaSpec, depth: int) -> ConvergentTable:
-    quotients = _quotients_to(alpha, depth)
-    if len(quotients) <= depth:
-        raise DomainError(f"expansion provides no convergent {depth}")
-    return convergents(quotients)
 
 
 def _radius_real(q: int, gamma: Fraction, tau: Fraction, shift: int = 1) -> Real:
@@ -62,43 +47,34 @@ def _radius_real(q: int, gamma: Fraction, tau: Fraction, shift: int = 1) -> Real
 # Gap conditions
 # ---------------------------------------------------------------------------
 
-def _gap_sides(table: ConvergentTable, n: int, gamma: Fraction, tau: Fraction,
-               strict: bool) -> tuple[Fraction, Real]:
-    """(window width |p_{n+2}/q_{n+2} - p_n/q_n|, required clearance)."""
+def _gap_verdict(table: ConvergentTable, n: int, gamma: Fraction, tau: Fraction,
+                 strict: bool, precision: int) -> str:
+    """Compare the window width |p_{n+2}/q_{n+2} - p_n/q_n| with the
+    clearance the exclusion intervals at n and n+2 need."""
+    gamma, tau = Fraction(gamma), Fraction(tau)
     width = abs(table.fraction(n + 2) - table.fraction(n))
     q_n, q_n2 = table.denom(n), table.denom(n + 2)
     needed = _radius_real(q_n, gamma, tau) + _radius_real(q_n2, gamma, tau)
     if strict:
         needed = needed + _radius_real(q_n2, gamma, tau, shift=-1) * 2
-    return width, needed
+    v = cmp_certified(needed, width, precision)
+    if v.is_less:
+        return HOLDS
+    if v.is_greater or v.is_equal:
+        return FAILS
+    return UNRESOLVED
 
 
 def check_gap(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
               precision: int = PRECISION_CAP) -> str:
     """Do the exclusion intervals at n and n+2 stay disjoint?"""
-    gamma, tau = Fraction(gamma), Fraction(tau)
-    table = _table_to(alpha, n + 2)
-    width, needed = _gap_sides(table, n, gamma, tau, strict=False)
-    v = cmp_certified(needed, width, precision)
-    if v.is_less:
-        return HOLDS
-    if v.is_greater or v.is_equal:
-        return FAILS
-    return UNRESOLVED
+    return _gap_verdict(_table_to(alpha, n + 2), n, gamma, tau, False, precision)
 
 
 def check_gap_strict(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
                      precision: int = PRECISION_CAP) -> str:
     """Gap condition with the extra 2*gamma/q_{n+2}^(tau-1) clearance."""
-    gamma, tau = Fraction(gamma), Fraction(tau)
-    table = _table_to(alpha, n + 2)
-    width, needed = _gap_sides(table, n, gamma, tau, strict=True)
-    v = cmp_certified(needed, width, precision)
-    if v.is_less:
-        return HOLDS
-    if v.is_greater or v.is_equal:
-        return FAILS
-    return UNRESOLVED
+    return _gap_verdict(_table_to(alpha, n + 2), n, gamma, tau, True, precision)
 
 
 def _threshold(q_n: int, q_n1: int, q_n2: int, gamma: Fraction, tau: Fraction,
@@ -164,8 +140,8 @@ def gap_report(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
     return GapReport(
         n=n,
         a_actual=table.a(n + 2),
-        gap=check_gap(alpha, gamma, tau, n),
-        gap_strict=check_gap_strict(alpha, gamma, tau, n),
+        gap=_gap_verdict(table, n, gamma, tau, False, PRECISION_CAP),
+        gap_strict=_gap_verdict(table, n, gamma, tau, True, PRECISION_CAP),
         threshold=thr,
         threshold_strict=thr_s,
     )
@@ -198,81 +174,40 @@ def detect_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
                      depth: int = 40, precision: int = DEFAULT_PRECISION
                      ) -> IsolationReport:
     gamma, tau = Fraction(gamma), Fraction(tau)
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    verdict = membership(alpha, gamma, tau, depth, precision)
+    verdict, g = _membership(alpha, gamma, tau, depth, precision)
     member = True if verdict.is_in else (False if verdict.is_out else None)
-
-    if isinstance(alpha, RationalAlpha):
-        depth_eff = len(_quotients_to(alpha, depth)) - 1
-    elif isinstance(alpha, PrefixAlpha):
-        depth_eff = min(depth, len(alpha.quotients) - 1)
-    else:
-        depth_eff = depth
-    table, rows = _rows_to(alpha, tau, depth_eff, precision)
+    rows = g.rows
 
     boundary = tuple(
         r.n for r in rows
-        if r.exact is not None and _exact_eq(r.exact, gamma)
+        if r.exact is not None and exact_cmp(r.exact, gamma) == 0
     )
 
-    if not all(r.exact is not None for r in rows):
-        upper = min(r.enclosure.hi for r in rows)
-        unresolved = tuple(r.n for r in rows if r.enclosure.lo <= upper)
-        return IsolationReport(member, None, (), (), boundary, unresolved)
-
-    vmin = rows[0].exact
-    for r in rows[1:]:
-        if _exact_lt_strict(r.exact, vmin):
-            vmin = r.exact
-    tail_bound = _tail_lower(alpha, tau, table, depth_eff, None, precision)
-    attained_known = False
-    if isinstance(alpha, RationalAlpha):
-        attained_known = True  # finite expansion: the infimum is this minimum
-    elif tail_bound is not None:
-        # deeper rows all exceed the bound strictly; the infimum is attained
-        # among the computed rows when the minimum does not exceed the bound
-        if tail_bound.exact is not None:
-            diff = _exact_binop(vmin, tail_bound.exact, "sub")
-            attained_known = diff is not None and exact_sign(diff) <= 0
-        else:
-            enc = tail_bound.enclose(precision)
-            attained_known = enc.lo is not None and \
-                not _exact_gt_fraction(vmin, enc.lo)
+    attained_known = all(r.exact is not None for r in rows)
+    if attained_known:
+        vmin = rows[0].exact
+        for r in rows[1:]:
+            if exact_cmp(r.exact, vmin) < 0:
+                vmin = r.exact
+        if not alpha.terminates:  # a finite expansion's minimum is its infimum
+            # deeper rows all exceed the bound strictly; the infimum is attained
+            # among the computed rows when the minimum does not exceed the bound
+            bound = _tail_lower(g, None)
+            if bound is not None and bound.exact is None:
+                bound = Real.from_exact(bound.enclose(precision).lo)
+            attained_known = bound is not None and exact_cmp(vmin, bound.exact) <= 0
     if not attained_known:
         upper = min(r.enclosure.hi for r in rows)
         unresolved = tuple(r.n for r in rows if r.enclosure.lo <= upper)
         return IsolationReport(member, None, (), (), boundary, unresolved)
 
-    hits = [r.n for r in rows if r.exact == vmin or _exact_eq_general(r.exact, vmin)]
+    hits = [r.n for r in rows if exact_cmp(r.exact, vmin) == 0]
     evens = [n for n in hits if n % 2 == 0]
     odds = [n for n in hits if n % 2 == 1]
     ties = tuple((n, m) for n in evens for m in odds)
     attained = tuple(hits) if not ties else ()
-    at_min = _exact_eq(vmin, gamma)
+    at_min = exact_cmp(vmin, gamma) == 0
     return IsolationReport(member, at_min, ties, attained, boundary, ())
-
-
-def _exact_eq(x: Union[Fraction, Quad], y: Fraction) -> bool:
-    diff = _exact_binop(x, Fraction(y), "sub")
-    return diff is not None and exact_sign(diff) == 0
-
-
-def _exact_eq_general(x, y) -> bool:
-    diff = _exact_binop(x, y, "sub")
-    return diff is not None and exact_sign(diff) == 0
-
-
-def _exact_lt_strict(x, y) -> bool:
-    diff = _exact_binop(x, y, "sub")
-    if diff is None:
-        raise DomainError("incomparable exact values")
-    return exact_sign(diff) < 0
-
-
-def _exact_gt_fraction(x: Union[Fraction, Quad], bound: Fraction) -> bool:
-    diff = _exact_binop(x, Fraction(bound), "sub")
-    return diff is not None and exact_sign(diff) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +382,7 @@ def quotient_growth_table(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
     table = _table_to(alpha, depth)
     rows = []
     for n in range(0, len(table) - 2):
-        if check_gap(alpha, gamma, tau, n, precision) != FAILS:
+        if _gap_verdict(table, n, gamma, tau, False, precision) != FAILS:
             continue
         bound = Real.power(Fraction(table.denom(n)), 2 + eps) * c
         enc = bound.enclose(precision)

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from dioph.arith import is_square
 from dioph.contfrac import QuadraticAlpha
+
+# property tests draw the same examples on every run
+settings.register_profile("dioph", derandomize=True, deadline=None)
+settings.load_profile("dioph")
 
 
 def random_quadratic(rng: random.Random) -> QuadraticAlpha:

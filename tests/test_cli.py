@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dioph
-from dioph import arith, contfrac, quality
+from dioph import arith, cli, contfrac, quality
 from dioph.cli import run
 
 
@@ -26,6 +26,17 @@ def test_cf_json(tmp_path):
     assert payload["quotients"] == [0, 1, 1, 1, 1, 1]
     assert (payload["preperiod"], payload["period"]) == (1, 1)
     assert payload["convergents"][5]["q"] == 8
+
+
+@pytest.mark.parametrize("alpha, terminates", [
+    ("rat:7/10", True), ("quad:-1,5,2", False), ("cf:[0;1,2,3]", None),
+])
+def test_cf_terminates(tmp_path, alpha, terminates):
+    # a prefix with the default tail bound [1, inf) may end or go on
+    code, data = _run_to_file(tmp_path, "cf.json",
+                              ["cf", "--alpha", alpha, "--depth", "3"])
+    assert code == 0
+    assert json.loads(data)["terminates"] is terminates
 
 
 def test_cf_csv(tmp_path):
@@ -115,6 +126,38 @@ def test_set_cache_transparency(tmp_path):
                           args + ["--cache-dir", str(cache)])
     assert plain == miss == hit
     assert list(cache.glob("*.json"))  # the entry was materialized
+
+
+@pytest.mark.parametrize("garbage", [
+    "{not json",
+    "[]",
+    '{"key": "set;gamma=1/2;tau=4;qmax=30;prec=256", "value": {}}',
+    '{"key": "KEY", "value": {"intervals": [[1, 2]]}}',
+    '{"key": "KEY", "value": {"intervals": [["a", "b"]]}}',
+])
+def test_set_cache_corrupt_entry_is_a_miss(tmp_path, capsys, garbage):
+    args = ["set", "--gamma", "1/10", "--tau", "4", "--qmax", "30"]
+    _, plain = _run_to_file(tmp_path, "plain.json", list(args))
+    cache = tmp_path / "cache"
+    _run_to_file(tmp_path, "miss.json", args + ["--cache-dir", str(cache)])
+    (entry,) = cache.glob("*.json")
+    key = json.loads(entry.read_text())["key"]
+    entry.write_text(garbage.replace("KEY", key))
+    code, again = _run_to_file(tmp_path, "again.json",
+                               args + ["--cache-dir", str(cache)])
+    assert code == 0 and again == plain
+    assert json.loads(entry.read_text())["key"] == key  # rewritten
+    assert [p.name for p in cache.iterdir()] == [entry.name]  # no temporary left
+    assert capsys.readouterr().err == ""
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise arith.InternalConsistencyError("routes disagree")
+
+    monkeypatch.setattr(cli, "_gamma_report", broken)
+    assert run(["gamma", "--alpha", "quad:-1,5,2", "--tau", "1"]) == 3
+    assert capsys.readouterr().err == "dioph: internal error: routes disagree\n"
 
 
 def test_census_command(tmp_path):

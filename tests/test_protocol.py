@@ -1,0 +1,164 @@
+"""The per-kind protocol of the three alpha classes.
+
+Property tests compare the kinds where they describe the same number, the
+cycle floors are checked against a walk per bracket, and a source scan keeps
+the kind tests inside ``contfrac``.
+"""
+
+import ast
+from fractions import Fraction as F
+from pathlib import Path
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+import dioph
+from dioph import contfrac, quality
+from dioph.contfrac import (
+    PrefixAlpha,
+    RationalAlpha,
+    cf_cycle,
+    convergents,
+    quadratic_from_periodic,
+    value_of,
+)
+
+quotient = st.integers(1, 12)
+
+
+@st.composite
+def words(draw):
+    """A finite quotient word whose last quotient is >= 2: the expansion of
+    its own value."""
+    return ([draw(st.integers(0, 3))] + draw(st.lists(quotient, max_size=8))
+            + [draw(st.integers(2, 12))])
+
+
+@st.composite
+def quadratics(draw):
+    prefix = [0] + draw(st.lists(quotient, max_size=4))
+    return quadratic_from_periodic(prefix, draw(st.lists(quotient, min_size=1, max_size=4)))
+
+
+@st.composite
+def alphas(draw):
+    """Any kind in (0, 1), so that a prefix can be reflected too."""
+    kind = draw(st.sampled_from(["rat", "prefix", "quad"]))
+    if kind == "quad":
+        return draw(quadratics())
+    w = [0] + draw(words())[1:]
+    return RationalAlpha(value_of(w)) if kind == "rat" else PrefixAlpha(tuple(w))
+
+
+@given(words())
+def test_rational_and_prefix_agree_on_quotients(w):
+    rat, pre = RationalAlpha(value_of(w)), PrefixAlpha(tuple(w))
+    assert rat.length == pre.length == len(w)
+    for stop in range(len(w) + 3):
+        assert rat.quotients_to(stop) == pre.quotients_to(stop) == w[:stop]
+
+
+@given(words())
+def test_prefix_tail_encloses_rational_tail(w):
+    rat, pre = RationalAlpha(value_of(w)), PrefixAlpha(tuple(w))
+    for n in range(len(w)):
+        exact = rat.tail(n).exact
+        assert exact == value_of(w[n:])
+        assert pre.tail(n).enclose(64).contains(exact)
+
+
+@given(alphas())
+def test_reflect_is_an_involution(alpha):
+    assert alpha.reflect().reflect() == alpha
+    assert type(alpha.reflect()) is type(alpha)
+
+
+@given(alphas())
+def test_alpha_plus_reflection_encloses_one(alpha):
+    total = alpha.real() + alpha.reflect().real()
+    assert total.enclose(64).contains(F(1))
+
+
+def _floor_per_bracket(alpha, parity):
+    """min of 1/(alpha_{n+1} + 1/a_n) over the cycle positions of one
+    bracket, walking the period once for that bracket."""
+    start, period = cf_cycle(alpha)
+    positions = range(period)
+    if parity is not None and period % 2 == 0:
+        positions = [j for j in positions if (start + j) % 2 == parity]
+    bound = None
+    for j in positions:
+        idx = start + j
+        a_idx = alpha.quotients_to(idx + 1)[idx]
+        cand = 1 / (alpha.tail(idx + 1).exact + F(1, a_idx))
+        if bound is None or cand < bound:
+            bound = cand
+    return bound
+
+
+@given(quadratics())
+def test_cycle_floors_equal_a_walk_per_bracket(alpha):
+    start, _period = cf_cycle(alpha)
+    depth = max(start, 1) + 2
+    table = convergents(alpha.quotients_to(depth + 1))
+    for parity in (None, 0, 1):
+        c, q = alpha.deep_row_floor(table, depth, parity)
+        want = _floor_per_bracket(alpha, parity)
+        assert type(c) is type(want) and c == want
+        n1 = depth + 1 if parity is None or (depth + 1) % 2 == parity else depth + 2
+        assert q == convergents(alpha.quotients_to(n1 + 1)).denom(n1)
+    if start > 1:  # no floor before the cycle is reached
+        assert alpha.deep_row_floor(table, start - 1, None) is None
+
+
+def test_gamma_report_walks_the_cycle_once(monkeypatch):
+    alpha = quadratic_from_periodic([0, 3, 1, 4], [1, 2, 3])
+    assert cf_cycle(alpha) == (4, 3)
+    calls = []
+    original = contfrac._quad_tail
+
+    def counted(a, n):
+        calls.append(n)
+        return original(a, n)
+
+    monkeypatch.setattr(contfrac, "_quad_tail", counted)
+    depth = 10
+    quality._gamma_report(alpha, F(2), depth)
+    # one tail per row for the tail route, one per cycle position for the floors
+    assert len(calls) == (depth + 1) + 3
+    quality.membership(alpha, F(1, 100), F(2), depth)
+    assert len(calls) == 2 * (depth + 1) + 3  # the floors are kept on the alpha
+
+
+ALPHA_CLASSES = {"RationalAlpha", "QuadraticAlpha", "PrefixAlpha"}
+
+
+def _names(node):
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _names(elt)}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return set()
+
+
+def test_kind_tests_stay_in_contfrac():
+    """Outside contfrac only brute_force_gamma, which picks an algorithm per
+    kind, may test which kind of alpha it holds."""
+    found = []
+    for path in sorted(Path(dioph.__file__).parent.glob("*.py")):
+        if path.name == "contfrac.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "brute_force_gamma":
+                allowed |= {id(n) for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and _names(node.args[1]) & ALPHA_CLASSES
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -4,16 +4,19 @@ import pytest
 
 from dioph.arith import DomainError
 from dioph.bands import gamma_band
+from dioph import quality, topology
 from dioph.contfrac import (
     PrefixAlpha,
     QuadraticAlpha,
     RationalAlpha,
+    cf_cycle,
     cf_expand,
     convergents,
     one_minus,
     quadratic_from_periodic,
 )
 from dioph.dioset import truncated_set
+from dioph.quality import gamma_of
 from dioph.topology import (
     FAILS,
     HOLDS,
@@ -214,6 +217,55 @@ def test_detect_isolation_rational_empty_ties():
     rep = detect_isolation(RationalAlpha(F(2, 7)), F(1, 10), F(4), depth=10)
     assert rep.member is False
     assert rep.cross_parity_ties == ()
+
+
+def test_detect_isolation_rational_reads_the_whole_expansion():
+    # 7/10 = [0; 1, 2, 3]: the infimum 0 sits at row 3, below the depth asked
+    alpha, gamma, tau = RationalAlpha(F(7, 10)), F(3, 10), F(1)
+    assert gamma_of(alpha, tau, 1).argmin_candidates == (3,)
+    rep = detect_isolation(alpha, gamma, tau, depth=1)
+    assert rep.member is False
+    assert rep.at_min_level is False
+    assert rep.attained_minima == (3,)
+    assert rep == detect_isolation(alpha, gamma, tau, depth=40)
+
+
+def test_detect_isolation_quadratic_below_preperiod():
+    # the rows membership reads reach the preperiod whatever depth is asked
+    start = cf_cycle(WINDOW_ALPHA)[0]
+    assert start > 1
+    gamma, tau = F(1, 1000), F(2)
+    rep = detect_isolation(WINDOW_ALPHA, gamma, tau, depth=1)
+    assert rep == detect_isolation(WINDOW_ALPHA, gamma, tau, depth=start)
+    assert rep.unresolved == () and rep.at_min_level is False
+
+
+def test_detect_isolation_builds_each_row_once(monkeypatch):
+    calls = []
+    original = quality._row
+
+    def counted(*args):
+        calls.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(quality, "_row", counted)
+    detect_isolation(GOLDEN, F(3, 8), F(1), depth=12)
+    assert sorted(calls) == list(range(13))
+
+
+def test_gap_report_builds_its_table_once(monkeypatch):
+    calls = []
+    original = topology._table_to
+
+    def counted(alpha, depth):
+        calls.append(depth)
+        return original(alpha, depth)
+
+    monkeypatch.setattr(topology, "_table_to", counted)
+    rep = gap_report(WINDOW_ALPHA, F(1, 10), F(2), WINDOW_N)
+    assert calls == [WINDOW_N + 2]
+    assert rep.gap == check_gap(WINDOW_ALPHA, F(1, 10), F(2), WINDOW_N)
+    assert rep.gap_strict == check_gap_strict(WINDOW_ALPHA, F(1, 10), F(2), WINDOW_N)
 
 
 def test_detect_isolation_reflection_parity(rng):
