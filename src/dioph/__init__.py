@@ -45,8 +45,6 @@ from .dioset import (
     excluded_interval,
     farey_sequence,
     fractions_in_interval,
-    measure,
-    restrict,
     set_bracket,
     truncated_set,
 )

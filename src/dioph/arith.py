@@ -11,6 +11,7 @@ prove.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,16 +154,6 @@ def enc_add(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
 
 def enc_sub(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
     return enc_add(a, enc_neg(b))
-
-
-def enc_scale(a: RealEnclosure, c: Fraction) -> RealEnclosure:
-    if c == 0:
-        return RealEnclosure(Fraction(0), Fraction(0), a.bits)
-    lo = None if a.lo is None else a.lo * c
-    hi = None if a.hi is None else a.hi * c
-    if c < 0:
-        lo, hi = hi, lo
-    return RealEnclosure(lo, hi, a.bits)
 
 
 def enc_mul(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
@@ -475,12 +466,6 @@ def exact_sign(x: ExactValue) -> int:
     return (x > 0) - (x < 0)
 
 
-def exact_floor(x: ExactValue) -> int:
-    if isinstance(x, Quad):
-        return x.floor()
-    return x.numerator // x.denominator
-
-
 def exact_enclose(x: ExactValue, bits: int) -> RealEnclosure:
     if isinstance(x, Quad):
         return x.enclose(bits)
@@ -509,26 +494,13 @@ def weighted_cmp(v1: Fraction, q1: int, v2: Fraction, q2: int, k: Fraction) -> i
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _exact_binop(x: ExactValue, y: ExactValue, op: str) -> Optional[ExactValue]:
+def _exact_binop(x: ExactValue, y: ExactValue, op) -> Optional[ExactValue]:
+    """op(x, y) computed exactly, or None when x and y share no field."""
     try:
-        if op == "add":
-            r = x + y
-        elif op == "sub":
-            r = x - y
-        elif op == "mul":
-            r = x * y
-        elif op == "div":
-            if isinstance(y, Fraction) and y == 0:
-                raise ZeroDivisionError("division by zero")
-            r = x / y
-        else:  # pragma: no cover
-            raise ValueError(op)
+        return op(x, y)
     except TypeError:
         # incompatible exact fields (e.g. distinct discriminants)
         return None
-    if r is NotImplemented:
-        return None
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +571,7 @@ class Real:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _binary(self, other, op: str, enc_op) -> "Real":
+    def _binary(self, other, op, enc_op) -> "Real":
         o = as_real(other)
         if self.exact is not None and o.exact is not None:
             exact = _exact_binop(self.exact, o.exact, op)
@@ -608,26 +580,26 @@ class Real:
         return Real(lambda bits: enc_op(self.enclose(bits), o.enclose(bits)))
 
     def __add__(self, other):
-        return self._binary(other, "add", enc_add)
+        return self._binary(other, operator.add, enc_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, "sub", enc_sub)
+        return self._binary(other, operator.sub, enc_sub)
 
     def __rsub__(self, other):
-        return as_real(other)._binary(self, "sub", enc_sub)
+        return as_real(other)._binary(self, operator.sub, enc_sub)
 
     def __mul__(self, other):
-        return self._binary(other, "mul", enc_mul)
+        return self._binary(other, operator.mul, enc_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(other, "div", enc_div)
+        return self._binary(other, operator.truediv, enc_div)
 
     def __rtruediv__(self, other):
-        return as_real(other)._binary(self, "div", enc_div)
+        return as_real(other)._binary(self, operator.truediv, enc_div)
 
     def __neg__(self):
         if self.exact is not None:
@@ -661,7 +633,25 @@ def pow_real(base: Fraction, exponent: Fraction, precision_bits: int) -> RealEnc
     base = Fraction(base)
     if base <= 0:
         raise DomainError("pow_real base must be positive")
-    return Real.power(base, Fraction(exponent)).enclose(precision_bits)
+    lo, hi = power_bounds(base, exponent, precision_bits)
+    return RealEnclosure(lo, hi, precision_bits)
+
+
+def power_bounds(base: RatLike, exponent: RatLike, bits: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= base**exponent <= hi, for a positive rational base.
+
+    An integer exponent gives the exact value twice; any other exponent the
+    dyadic enclosure of :meth:`Real.power` at `bits`.  A bound that must round
+    down takes lo, one that must round up takes hi.
+    """
+    base, exponent = Fraction(base), Fraction(exponent)
+    if base <= 0:
+        raise DomainError("power base must be positive")
+    if exponent.denominator == 1:
+        v = base ** exponent.numerator
+        return v, v
+    enc = Real.power(base, exponent).enclose(bits)
+    return enc.lo, enc.hi
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +697,7 @@ def cmp_certified(a, b, max_precision_bits: int = PRECISION_CAP) -> CmpVerdict:
     """
     ra, rb = as_real(a), as_real(b)
     if ra.exact is not None and rb.exact is not None:
-        diff = _exact_binop(ra.exact, rb.exact, "sub")
+        diff = _exact_binop(ra.exact, rb.exact, operator.sub)
         if diff is not None:
             s = exact_sign(diff)
             if s == 0:
@@ -736,10 +726,7 @@ def power_sum_tail(s: Fraction, q: int, bits: int = 96) -> Fraction:
         raise DomainError("power sum diverges for exponent <= 1")
     if q < 1:
         raise DomainError("tail start must be >= 1")
-    if s.denominator == 1:
-        return Fraction(1, q ** (int(s) - 1)) / (s - 1)
-    enc = Real.power(Fraction(q), s - 1).enclose(bits)
-    return Fraction(1) / (enc.lo * (s - 1))
+    return 1 / (power_bounds(q, s - 1, bits)[0] * (s - 1))
 
 
 def rat_sum_tail_bound(tau: Fraction, q: int) -> Fraction:

@@ -22,6 +22,7 @@ from .arith import (
     Real,
     RealEnclosure,
     exact_sign,
+    power_bounds,
     power_sum_tail,
     surd,
     weighted_cmp,
@@ -119,10 +120,6 @@ def _exceeds_one(x: TauLike) -> bool:
     return Fraction(x) > 1
 
 
-def _pow_enclosure(q: int, e: Fraction, bits: int) -> RealEnclosure:
-    return Real.power(Fraction(q), e).enclose(bits)
-
-
 def exponents(tau: TauLike, checkpoints: Sequence[int] = (),
               precision: int = 64) -> SeriesReport:
     """Series report for the two controlling exponents at a given tau.
@@ -141,11 +138,8 @@ def exponents(tau: TauLike, checkpoints: Sequence[int] = (),
         prev = 1
         for m in sorted(checkpoints):
             for q in range(prev + 1, m + 1):
-                if band_f.denominator == 1:
-                    t_lo = t_hi = Fraction(1) / Fraction(q) ** int(band_f)
-                else:
-                    enc = _pow_enclosure(q, band_f, precision)
-                    t_lo, t_hi = 1 / enc.hi, 1 / enc.lo
+                lo, hi = power_bounds(q, band_f, precision)
+                t_lo, t_hi = 1 / hi, 1 / lo
                 acc_lo += (t_lo.numerator * scale) // t_lo.denominator
                 acc_hi += -((-t_hi.numerator * scale) // t_hi.denominator)
             prev = m
@@ -177,27 +171,15 @@ def _n_sum_with_tail(tau: Fraction, n_max: int, precision: int) -> Fraction:
     if tau <= 2:
         raise DomainError("N-tail requires tau > 2")
     total = Fraction(0)
-    e = tau - 1
     for n in range(1, n_max + 1):
-        if e.denominator == 1:
-            total += Fraction(1) / Fraction(n) ** int(e)
-        else:
-            total += 1 / _pow_enclosure(n, e, precision).lo
-    e2 = tau - 2
-    if e2.denominator == 1:
-        tail = Fraction(1) / (Fraction(n_max) ** int(e2) * e2)
-    else:
-        tail = 1 / (_pow_enclosure(n_max, e2, precision).lo * e2)
-    return total + tail
+        total += 1 / power_bounds(n, tau - 1, precision)[0]
+    return total + 1 / (power_bounds(n_max, tau - 2, precision)[0] * (tau - 2))
 
 
 def _p_floor(q: int, tau: Fraction, c2: Fraction, precision: int) -> int:
     """floor(q^tau / c2), rounded down for fractional tau (outward for the
     p-tail bound)."""
-    if tau.denominator == 1:
-        return (q ** int(tau) * c2.denominator) // c2.numerator
-    enc = _pow_enclosure(q, tau, precision)
-    val = enc.lo / c2
+    val = power_bounds(q, tau, precision)[0] / c2
     return val.numerator // val.denominator
 
 
@@ -226,12 +208,8 @@ def bands_union_measure(tau: Fraction, c1: Fraction, c2: Fraction, m: int,
         if p0 < 1:
             raise DomainError("empty p-range; increase q or decrease C2")
         # sum_{p > p0} p^-tau <= p0^(1-tau)/(tau-1)
-        if tau.denominator == 1:
-            p_tail = Fraction(1) / (Fraction(p0) ** (int(tau) - 1) * (tau - 1))
-            q_pow = Fraction(q) ** (2 * int(tau) + 1)
-        else:
-            p_tail = 1 / (_pow_enclosure(p0, tau - 1, precision).lo * (tau - 1))
-            q_pow = _pow_enclosure(q, 2 * tau + 1, precision).hi
+        p_tail = 1 / (power_bounds(p0, tau - 1, precision)[0] * (tau - 1))
+        q_pow = power_bounds(q, 2 * tau + 1, precision)[1]
         total += 2 * q_pow * n_sum * p_tail
     return total
 
@@ -252,11 +230,7 @@ def bands_union_tail(tau: Fraction, c1: Fraction, c2: Fraction, q_max: int,
         raise DomainError("the N-tail requires tau > 2")
     n_sum = _n_sum_with_tail(tau, n_max, precision)
     # per-q bound: 2 * n_sum/(tau-1) * (2*c2)^(tau-1) * q^-(band exponent)
-    if tau.denominator == 1:
-        c_pow = (2 * c2) ** (int(tau) - 1)
-    else:
-        enc = Real.power(2 * c2, tau - 1).enclose(precision)
-        c_pow = enc.hi
+    c_pow = power_bounds(2 * c2, tau - 1, precision)[1]
     beta = 2 * n_sum * c_pow / (tau - 1)
     return beta * power_sum_tail(band_e, q_max, precision)
 

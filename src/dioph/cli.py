@@ -44,6 +44,9 @@ from .quality import _gamma_report
 from .svgplot import render_svg
 
 DEFAULT_PREC = 256
+# part of every set cache key: raise it when a set payload can change, so an
+# entry written by an older sieve is a miss and is rewritten
+CACHE_FORMAT = 2
 
 
 def _cap() -> int:
@@ -170,10 +173,11 @@ def _cmd_member(args) -> int:
 
 
 def _set_payload(gamma: Fraction, tau: Fraction, qmax: int, prec: int):
-    s = dioset.truncated_set(gamma, tau, qmax, prec)
-    tail = None
-    if tau > 2:
-        tail = format_rat(dioset.set_bracket(gamma, tau, qmax, prec).tail_measure_bound)
+    if tau > 2:  # the bracket's outer set is the truncated set
+        bracket = dioset.set_bracket(gamma, tau, qmax, prec)
+        s, tail = bracket.outer, format_rat(bracket.tail_measure_bound)
+    else:
+        s, tail = dioset.truncated_set(gamma, tau, qmax, prec), None
     return {
         "gamma": format_rat(gamma),
         "tau": format_rat(tau),
@@ -187,7 +191,8 @@ def _set_payload(gamma: Fraction, tau: Fraction, qmax: int, prec: int):
 def _cached_set_payload(args, gamma: Fraction, tau: Fraction, qmax: int, prec: int):
     if not args.cache_dir:
         return _set_payload(gamma, tau, qmax, prec)
-    key = f"set;gamma={format_rat(gamma)};tau={format_rat(tau)};qmax={qmax};prec={prec}"
+    key = (f"v{CACHE_FORMAT};set;gamma={format_rat(gamma)};tau={format_rat(tau)};"
+           f"qmax={qmax};prec={prec}")
     digest = hashlib.sha256(key.encode()).hexdigest()
     cache_dir = Path(args.cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -216,26 +221,10 @@ def _cached_set_payload(args, gamma: Fraction, tau: Fraction, qmax: int, prec: i
 def _alpha_ticks(args, qmax: int):
     if not getattr(args, "alpha", None):
         return None
-    alpha = parse_alpha(args.alpha)
-    depth = 1
-    ticks = []
-    while True:
-        try:
-            quotients = cf_expand(alpha, depth + 1)
-        except DomainError:
-            break
-        if len(quotients) <= depth:
-            break
-        table = convergents(quotients)
-        if table.denom(depth) > qmax:
-            break
-        depth += 1
-    table = convergents(cf_expand(alpha, depth))
-    for n in range(len(table)):
-        f = table.fraction(n)
-        if 0 <= f <= 1:
-            ticks.append(f)
-    return ticks
+    # q_n >= 2^((n-1)/2), so every convergent with q_n <= qmax is in this table
+    table = convergents(parse_alpha(args.alpha).quotients_to(2 * qmax.bit_length() + 3))
+    kept = [0] + [n for n in range(1, len(table)) if table.denom(n) <= qmax]
+    return [f for f in map(table.fraction, kept) if 0 <= f <= 1]
 
 
 def _cmd_set(args) -> int:

@@ -19,9 +19,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .arith import (
     DEFAULT_PRECISION,
     DomainError,
-    Real,
     format_rat,
     parse_rat,
+    power_bounds,
     rat_sum_tail_bound,
 )
 from .contfrac import _rational_quotients
@@ -46,19 +46,6 @@ class IntervalSet:
                 raise DomainError("intervals must be sorted and disjoint")
             prev_hi = hi
 
-    @staticmethod
-    def from_intervals(items: Iterable[tuple[Fraction, Fraction]]) -> "IntervalSet":
-        cleaned = sorted((Fraction(lo), Fraction(hi)) for lo, hi in items)
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in cleaned:
-            if lo > hi:
-                raise DomainError(f"inverted interval [{lo}, {hi}]")
-            if merged and lo <= merged[-1][1]:  # closed intervals: touching merges
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        return IntervalSet(tuple(merged))
-
     @property
     def measure(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
@@ -69,8 +56,7 @@ class IntervalSet:
 
     def __contains__(self, x) -> bool:
         x = Fraction(x)
-        los = [iv[0] for iv in self.intervals]
-        i = bisect.bisect_right(los, x) - 1
+        i = bisect.bisect_right(self.intervals, x, key=lambda iv: iv[0]) - 1
         return i >= 0 and self.intervals[i][0] <= x <= self.intervals[i][1]
 
     def restrict(self, window: tuple[Fraction, Fraction]) -> "IntervalSet":
@@ -123,15 +109,6 @@ class IntervalSet:
     @staticmethod
     def from_obj(obj: Sequence[Sequence[str]]) -> "IntervalSet":
         return IntervalSet(tuple((parse_rat(lo), parse_rat(hi)) for lo, hi in obj))
-
-
-def measure(s: IntervalSet) -> Fraction:
-    """Exact total length of an interval set."""
-    return s.measure
-
-
-def restrict(s: IntervalSet, window: tuple[Fraction, Fraction]) -> IntervalSet:
-    return s.restrict(window)
 
 
 def _merge_open(items: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
@@ -261,24 +238,6 @@ def fractions_in_interval(lo: Fraction, hi: Fraction, max_den: int,
         a, b, (c, d) = c, d, nxt
 
 
-def fractions_in_interval_bruteforce(lo: Fraction, hi: Fraction, max_den: int,
-                                     include_lo: bool = False,
-                                     include_hi: bool = False
-                                     ) -> list[tuple[int, int]]:
-    """Per-denominator scan oracle for fractions_in_interval."""
-    out = []
-    for q in range(1, max_den + 1):
-        for p in range(math.ceil(lo * q), math.floor(hi * q) + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            val = Fraction(p, q)
-            if (val == lo and not include_lo) or (val == hi and not include_hi):
-                continue
-            if lo <= val <= hi:
-                out.append((p, q))
-    return sorted(out, key=lambda t: Fraction(t[0], t[1]))
-
-
 # ---------------------------------------------------------------------------
 # Exclusion radii and truncated sets
 # ---------------------------------------------------------------------------
@@ -291,14 +250,10 @@ def exclusion_radius(q: int, gamma: Fraction, tau: Fraction, rounding: str = "ex
     gamma, tau = Fraction(gamma), Fraction(tau)
     if q < 1:
         raise DomainError("q must be >= 1")
-    if (tau + 1).denominator == 1:
-        return gamma / Fraction(q) ** (int(tau) + 1)
-    enc = Real.power(Fraction(q), tau + 1).enclose(bits)
-    if rounding == "inner":
-        return gamma / enc.hi
-    if rounding == "outer":
-        return gamma / enc.lo
-    raise DomainError("fractional tau requires rounding='inner' or 'outer'")
+    if tau.denominator != 1 and rounding not in ("inner", "outer"):
+        raise DomainError("fractional tau requires rounding='inner' or 'outer'")
+    lo, hi = power_bounds(q, tau + 1, bits)
+    return gamma / (hi if rounding == "inner" else lo)
 
 
 def excluded_interval(p: int, q: int, gamma: Fraction, tau: Fraction,
@@ -330,8 +285,7 @@ def truncated_set(gamma: Fraction, tau: Fraction, qmax: int,
         raise DomainError("tau must be >= 1")
     if qmax < 1:
         raise DomainError("Qmax must be >= 1")
-    rounding = "exact" if (tau + 1).denominator == 1 else "inner"
-    radii = {q: exclusion_radius(q, gamma, tau, rounding, bits)
+    radii = {q: exclusion_radius(q, gamma, tau, "inner", bits)
              for q in range(1, qmax + 1)}
     excluded = []
     for p, q in farey_sequence(qmax):
@@ -360,25 +314,10 @@ def set_bracket(gamma: Fraction, tau: Fraction, qmax: int,
     outer = truncated_set(gamma, tau, qmax, bits)
     # each denominator q contributes at most q+1 centers of width 2*gamma/q^(tau+1)
     tail = 2 * gamma * rat_sum_tail_bound(tau, qmax)
-    if (tau + 1).denominator != 1:
+    if tau.denominator != 1:
         slack = Fraction(0)
         for q in range(1, qmax + 1):
-            r_in = exclusion_radius(q, gamma, tau, "inner", bits)
-            r_out = exclusion_radius(q, gamma, tau, "outer", bits)
-            slack += (q + 1) * 2 * (r_out - r_in)
+            lo, hi = power_bounds(q, tau + 1, bits)
+            slack += (q + 1) * 2 * (gamma / lo - gamma / hi)
         tail += slack
     return SetBracket(outer=outer, tail_measure_bound=tail)
-
-
-def direct_member(x: Fraction, gamma: Fraction, tau: Fraction, qmax: int) -> bool:
-    """Direct check ||q*x|| >= gamma/q^tau for every q <= qmax (integer tau)."""
-    x, gamma, tau = Fraction(x), Fraction(gamma), Fraction(tau)
-    if tau.denominator != 1:
-        raise DomainError("direct check implemented for integer tau")
-    t = int(tau)
-    for q in range(1, qmax + 1):
-        r = (x.numerator * q) % x.denominator
-        dist = Fraction(min(r, x.denominator - r), x.denominator)
-        if dist * q ** t < gamma:
-            return False
-    return True

@@ -23,6 +23,7 @@ from .arith import (
     RealEnclosure,
     cmp_certified,
     exact_cmp,
+    power_bounds,
     power_sum_tail,
 )
 from .contfrac import AlphaSpec, ConvergentTable
@@ -246,10 +247,9 @@ def census(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int, qmax: int,
     lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
     width = hi - lo
 
-    rounding = "exact" if (tau + 1).denominator == 1 else "outer"
     clipped: list[tuple[Fraction, Fraction]] = []
     for q in range(1, qmax + 1):
-        r = exclusion_radius(q, gamma, tau, rounding, precision)
+        r = exclusion_radius(q, gamma, tau, "outer", precision)
         p_start = -((-(lo - r).numerator * q) // (lo - r).denominator)  # ceil(q*(lo-r))
         p_end = ((hi + r).numerator * q) // (hi + r).denominator        # floor(q*(hi+r))
         for p in range(p_start, p_end + 1):
@@ -268,7 +268,7 @@ def census(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int, qmax: int,
 
     c_n = None
     for p, q in fractions_in_interval(lo, hi, q_n2 - 1, include_lo=True):
-        cand = Fraction(p, q) + exclusion_radius(q, gamma, tau, rounding, precision)
+        cand = Fraction(p, q) + exclusion_radius(q, gamma, tau, "outer", precision)
         if c_n is None or cand > c_n:
             c_n = cand
 
@@ -301,30 +301,17 @@ def window_margin_table(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int
     cutoff = q_n2 - 1 if max_den is None else min(max_den, q_n2 - 1)
     e_near, e_far = table.fraction(n), table.fraction(n + 2)
     lo, hi = (e_near, e_far) if e_near <= e_far else (e_far, e_near)
-    margin = (exclusion_radius(q_n2, gamma, tau, _rnd_out(tau), precision)
-              + 2 * _radius_out(q_n2, gamma, tau, -1, precision))
+    margin = (exclusion_radius(q_n2, gamma, tau, "outer", precision)
+              + 2 * gamma / power_bounds(q_n2, tau - 1, precision)[0])
     rows = []
     for p, q in fractions_in_interval(lo, hi, cutoff):
-        r = exclusion_radius(q, gamma, tau, _rnd_out(tau), precision)
+        r = exclusion_radius(q, gamma, tau, "outer", precision)
         if e_near <= e_far:
             slack = (hi - margin) - (Fraction(p, q) + r)
         else:
             slack = (Fraction(p, q) - r) - (lo + margin)
         rows.append((p, q, slack))
     return rows
-
-
-def _rnd_out(tau: Fraction) -> str:
-    return "exact" if (Fraction(tau) + 1).denominator == 1 else "outer"
-
-
-def _radius_out(q: int, gamma: Fraction, tau: Fraction, shift: int, bits: int) -> Fraction:
-    """gamma / q^(tau+shift), rounded up for fractional tau."""
-    tau = Fraction(tau)
-    if (tau + shift).denominator == 1:
-        return Fraction(gamma) / Fraction(q) ** int(tau + shift)
-    enc = Real.power(Fraction(q), tau + shift).enclose(bits)
-    return Fraction(gamma) / enc.lo
 
 
 def gap_report_obj(rep: GapReport) -> dict:

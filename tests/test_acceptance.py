@@ -26,13 +26,13 @@ from dioph.contfrac import (
     quadratic_from_periodic,
 )
 from dioph.dioset import (
-    direct_member,
     fractions_in_interval,
     truncated_set,
 )
 from dioph.quality import brute_force_gamma, gamma_n, gamma_of
 from dioph.topology import HOLDS, census, check_gap, check_gap_strict, gap_threshold
 from tests.conftest import random_quadratic, random_rational
+from tests.oracles import direct_member
 
 GOLDEN = QuadraticAlpha(-1, 5, 2)
 

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import dioph
-from dioph import arith, cli, contfrac, quality
+from dioph import arith, cli, contfrac, dioset, quality
+from dioph.arith import DomainError
 from dioph.cli import run
+from dioph.contfrac import cf_expand, convergents, parse_alpha
 
 
 def _run_to_file(tmp_path: Path, name: str, argv: list[str]) -> tuple[int, bytes]:
@@ -151,6 +155,22 @@ def test_set_cache_corrupt_entry_is_a_miss(tmp_path, capsys, garbage):
     assert capsys.readouterr().err == ""
 
 
+def test_set_cache_ignores_an_unversioned_entry(tmp_path):
+    # an entry stored under the key format used before CACHE_FORMAT, for the
+    # same request, was written by an older sieve: it must not be served
+    args = ["set", "--gamma", "1/10", "--tau", "4", "--qmax", "30"]
+    _, plain = _run_to_file(tmp_path, "plain.json", list(args))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    old_key = "set;gamma=1/10;tau=4;qmax=30;prec=256"
+    stale = json.loads(plain)
+    stale["intervals"], stale["measure"] = [["0", "1"]], "1"
+    digest = hashlib.sha256(old_key.encode()).hexdigest()
+    (cache / f"{digest}.json").write_text(json.dumps({"key": old_key, "value": stale}))
+    code, again = _run_to_file(tmp_path, "again.json", args + ["--cache-dir", str(cache)])
+    assert code == 0 and again == plain
+
+
 def test_internal_error_exits_three(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise arith.InternalConsistencyError("routes disagree")
@@ -280,6 +300,58 @@ def test_gamma_splits_the_radicand_at_most_twice(tmp_path, monkeypatch, depth):
     assert code == 0
     assert len(json.loads(data)["rows"]) == int(depth) + 1
     assert len(calls) <= 2
+
+
+def test_set_runs_the_sieve_once(tmp_path, monkeypatch):
+    sieves = _counting(monkeypatch, dioset, "truncated_set")
+    assert run(["set", "--gamma", "1/10", "--tau", "4", "--qmax", "30",
+                "--out", str(tmp_path / "s.json")]) == 0
+    assert len(sieves) == 1
+
+
+def test_alpha_ticks_walk_the_expansion_once(tmp_path, monkeypatch):
+    expansions = _counting(monkeypatch, cli, "cf_expand")
+    tables = _counting(monkeypatch, cli, "convergents")
+    code, svg = _run_to_file(tmp_path, "s.svg",
+                             ["set", "--gamma", "1/10", "--tau", "4", "--qmax", "180",
+                              "--format", "svg", "--alpha", "quad:-1,5,2"])
+    assert code == 0 and svg.startswith(b"<?xml")
+    assert len(expansions) + len(tables) == 1
+
+
+def _alpha_ticks_by_depth(spec: str, qmax: int):
+    """The tick search that extends the expansion one depth at a time."""
+    alpha = parse_alpha(spec)
+    depth = 1
+    ticks = []
+    while True:
+        try:
+            quotients = cf_expand(alpha, depth + 1)
+        except DomainError:
+            break
+        if len(quotients) <= depth:
+            break
+        table = convergents(quotients)
+        if table.denom(depth) > qmax:
+            break
+        depth += 1
+    table = convergents(cf_expand(alpha, depth))
+    for n in range(len(table)):
+        f = table.fraction(n)
+        if 0 <= f <= 1:
+            ticks.append(f)
+    return ticks
+
+
+@pytest.mark.parametrize("spec", [
+    "rat:0", "rat:1", "rat:7/10", "rat:355/113", "rat:832040/1346269",
+    "quad:-1,5,2", "quad:0,2,1", "quad:921,621,2770", "quad:1,33554435,3",
+    "cf:[0]", "cf:[0;1,2,3]", "cf:[2;3]", "cf:[0;" + ",".join(["1"] * 40) + "]",
+])
+@pytest.mark.parametrize("qmax", [1, 2, 3, 10, 180, 10**6])
+def test_alpha_ticks_match_the_depth_search(spec, qmax):
+    ticks = cli._alpha_ticks(argparse.Namespace(alpha=spec), qmax)
+    assert ticks == _alpha_ticks_by_depth(spec, qmax)
 
 
 def test_determinism_repeated_runs(tmp_path):
