@@ -54,9 +54,11 @@ def parse_rat(text: str) -> Fraction:
 
 
 def format_rat(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-    _ensure_str_digits(bits * 302 // 1000 + 1)
+    if bits > 2000:  # at most 605 digits, below any digit limit (>= 640)
+        _ensure_str_digits(bits * 302 // 1000 + 1)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

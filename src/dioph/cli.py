@@ -214,6 +214,10 @@ def _cached_set_payload(args, gamma: Fraction, tau: Fraction, qmax: int, prec: i
     with tempfile.NamedTemporaryFile("w", dir=cache_dir, suffix=".tmp",
                                      delete=False) as fh:
         fh.write(json.dumps(entry, indent=2) + "\n")
+    # the temporary file is private: give the entry the mode of a plain write
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(fh.name, 0o666 & ~umask)
     os.replace(fh.name, path)
     return payload, s
 

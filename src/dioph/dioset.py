@@ -6,12 +6,18 @@ result is a finite union of closed intervals with exact rational endpoints
 and exact measure.  Because the defining inequality is non-strict, boundary
 points p/q +- gamma/q^(tau+1) belong to the set; two excluded intervals that
 merely touch leave the shared endpoint behind as a degenerate member point.
+
+One sieve, :func:`sieve_window`, computes these unions on [0, 1] for ``set``,
+``sweep`` and :func:`set_bracket` and on a convergent window for the census.
+It sorts and merges integer keys of the endpoints and builds Fractions only
+for the endpoints it returns; measures are summed by denominator.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -48,7 +54,17 @@ class IntervalSet:
 
     @property
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        """Exact total length: signed endpoint numerators add up as integers
+        per reduced denominator, and those terms are added pairwise, so that
+        operands stay of similar size (Bernstein, "Fast multiplication")."""
+        sums: defaultdict[int, int] = defaultdict(int)
+        for lo, hi in self.intervals:
+            sums[lo.denominator] -= lo.numerator
+            sums[hi.denominator] += hi.numerator
+        terms = [Fraction(n, d) for d, n in sums.items()] or [Fraction(0)]
+        while len(terms) > 1:
+            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+        return terms[0]
 
     @property
     def is_empty(self) -> bool:
@@ -62,34 +78,25 @@ class IntervalSet:
     def restrict(self, window: tuple[Fraction, Fraction]) -> "IntervalSet":
         """Exact intersection with a closed rational window."""
         w_lo, w_hi = Fraction(window[0]), Fraction(window[1])
-        if w_lo > w_hi:
-            return IntervalSet(())
-        out = []
-        for lo, hi in self.intervals:
-            a, b = max(lo, w_lo), min(hi, w_hi)
-            if a <= b:
-                out.append((a, b))
-        return IntervalSet(tuple(out))
+        clipped = ((max(lo, w_lo), min(hi, w_hi)) for lo, hi in self.intervals)
+        return IntervalSet(tuple((a, b) for a, b in clipped if a <= b))
 
     def reflect(self) -> "IntervalSet":
         """The image under x -> 1 - x."""
         return IntervalSet(tuple((1 - hi, 1 - lo) for lo, hi in reversed(self.intervals)))
 
     def complement_within(self, lo: Fraction, hi: Fraction) -> "IntervalSet":
-        """Closure of [lo, hi] minus this set (same measure as the complement)."""
-        pieces = []
-        cur = Fraction(lo)
-        for a, b in self.intervals:
-            if b < cur:
-                continue
-            if a > hi:
-                break
+        """Closure of [lo, hi] minus this set (same measure as the complement),
+        in which the gaps on both sides of an isolated point of this set join."""
+        pieces, cur = [], Fraction(lo)
+        for a, b in [*self.restrict((lo, hi)).intervals, (Fraction(hi), Fraction(hi))]:
             if a > cur:
-                pieces.append((cur, min(a, Fraction(hi))))
-            cur = max(cur, b)
-        if cur < hi:
-            pieces.append((cur, Fraction(hi)))
-        return IntervalSet(tuple(p for p in pieces if p[0] <= p[1]))
+                if pieces and pieces[-1][1] == cur:
+                    pieces[-1] = (pieces[-1][0], a)
+                else:
+                    pieces.append((cur, a))
+            cur = b
+        return IntervalSet(tuple(pieces))
 
     def subset_of(self, other: "IntervalSet") -> bool:
         j = 0
@@ -111,16 +118,36 @@ class IntervalSet:
         return IntervalSet(tuple((parse_rat(lo), parse_rat(hi)) for lo, hi in obj))
 
 
-def _merge_open(items: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    """Merge open intervals on STRICT overlap only: a shared endpoint is not
-    interior to either interval, so touching intervals stay separate."""
-    merged: list[tuple[Fraction, Fraction]] = []
-    for lo, hi in sorted((lo, hi) for lo, hi in items if hi > lo):
-        if merged and lo < merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+def _key_bits(dens: list[int]) -> int:
+    """k with 2^k > 4*den^2: keys floor(2^k*x) order endpoints 1/den^2 apart."""
+    return 2 * max(dens).bit_length() + 2
+
+
+def _open_complement(items: list[tuple], lo: Fraction, hi: Fraction, k: int) -> IntervalSet:
+    """Closure of [lo, hi] minus the union of the open intervals given as
+    (lo_key, hi_key, lo_num, lo_den, hi_num, hi_den).  Intervals merge on
+    STRICT overlap only: a shared endpoint is interior to neither, so two
+    touching intervals leave it behind as a degenerate member point."""
+    hi_key = (hi.numerator << k) // hi.denominator
+    cur_key, cur = (lo.numerator << k) // lo.denominator, lo
+    pieces, group = [], None  # group: [lo_key, hi_key, first item, item holding hi_key]
+    items.sort()
+    for it in [*items, (math.inf, math.inf)]:  # the sentinel closes the last group
+        if group and it[0] < group[1]:
+            if it[1] > group[1]:
+                group[1], group[3] = it[1], it
+            continue
+        if group and group[1] > cur_key:
+            a, b, first, last = group
+            if a >= hi_key:
+                break
+            if a >= cur_key:
+                pieces.append((cur, Fraction(first[2], first[3])))
+            cur_key, cur = b, Fraction(last[4], last[5])
+        group = [it[0], it[1], it, it]
+    if cur_key <= hi_key:
+        pieces.append((cur, hi))
+    return IntervalSet(tuple(pieces))
 
 
 def open_union_complement(excluded: Iterable[tuple[Fraction, Fraction]],
@@ -128,27 +155,11 @@ def open_union_complement(excluded: Iterable[tuple[Fraction, Fraction]],
                           ) -> IntervalSet:
     """Complement of a union of OPEN intervals inside a closed domain."""
     d_lo, d_hi = Fraction(domain[0]), Fraction(domain[1])
-    pieces: list[tuple[Fraction, Fraction]] = []
-    cur = d_lo
-    for lo, hi in _merge_open(excluded):
-        if hi <= cur or hi < d_lo:
-            continue
-        if lo >= d_hi:
-            break
-        if lo >= cur:
-            pieces.append((cur, min(lo, d_hi)))
-        cur = hi
-    if cur <= d_hi:
-        pieces.append((cur, d_hi))
-    return IntervalSet(tuple(p for p in pieces if p[0] <= p[1]))
-
-
-def union_open_measure(excluded: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    """Measure of a union of open intervals."""
-    total = Fraction(0)
-    for lo, hi in _merge_open(excluded):
-        total += hi - lo
-    return total
+    ends = [(Fraction(a), Fraction(b)) for a, b in excluded if b > a]
+    k = _key_bits([x.denominator for x in (d_lo, d_hi, *(x for pair in ends for x in pair))])
+    items = [((a.numerator << k) // a.denominator, (b.numerator << k) // b.denominator,
+              a.numerator, a.denominator, b.numerator, b.denominator) for a, b in ends]
+    return _open_complement(items, d_lo, d_hi, k)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +261,9 @@ def exclusion_radius(q: int, gamma: Fraction, tau: Fraction, rounding: str = "ex
     gamma, tau = Fraction(gamma), Fraction(tau)
     if q < 1:
         raise DomainError("q must be >= 1")
-    if tau.denominator != 1 and rounding not in ("inner", "outer"):
-        raise DomainError("fractional tau requires rounding='inner' or 'outer'")
+    if rounding not in ("inner", "outer") and (rounding, tau.denominator) != ("exact", 1):
+        raise DomainError(f"rounding must be 'inner' or 'outer' (or 'exact' at integer "
+                          f"tau), got {rounding!r}")
     lo, hi = power_bounds(q, tau + 1, bits)
     return gamma / (hi if rounding == "inner" else lo)
 
@@ -285,14 +297,30 @@ def truncated_set(gamma: Fraction, tau: Fraction, qmax: int,
         raise DomainError("tau must be >= 1")
     if qmax < 1:
         raise DomainError("Qmax must be >= 1")
-    radii = {q: exclusion_radius(q, gamma, tau, "inner", bits)
-             for q in range(1, qmax + 1)}
-    excluded = []
-    for p, q in farey_sequence(qmax):
-        r = radii[q]
-        center = Fraction(p, q)
-        excluded.append((center - r, center + r))
-    return open_union_complement(excluded)
+    return sieve_window(gamma, tau, qmax, Fraction(0), Fraction(1), "inner", bits)
+
+
+def sieve_window(gamma: Fraction, tau: Fraction, qmax: int, lo: Fraction, hi: Fraction,
+                 rounding: str, bits: int) -> IntervalSet:
+    """Closure of [lo, hi] minus the open interval of radius gamma/q^(tau+1),
+    rounded as ``rounding``, around every reduced p/q with q <= qmax.  Per q,
+    only centers next to the window count (on [0, 1]: the Farey fractions), as
+    radii never grow with q: inside it, a center farther out covers no more
+    than a nearer one or its reduced form does."""
+    radii = [exclusion_radius(q, gamma, tau, rounding, bits) for q in range(1, qmax + 1)]
+    k = _key_bits([lo.denominator, hi.denominator]
+                  + [q * r.denominator for q, r in enumerate(radii, 1)])
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    items = []
+    for q, r in enumerate(radii, 1):
+        rd, off, den = r.denominator, q * r.numerator, q * r.denominator  # (p*rd -+ off)/den
+        start = max(-((off * ld - q * ln * rd) // (ld * rd)), q * ln // ld)  # ceil(q*(lo-r)), floor(q*lo)
+        stop = min((q * hn * rd + off * hd) // (hd * rd), -(-q * hn // hd))  # floor(q*(hi+r)), ceil(q*hi)
+        for p in range(start, stop + 1):
+            if math.gcd(p, q) == 1:
+                a, b = p * rd - off, p * rd + off
+                items.append(((a << k) // den, (b << k) // den, a, den, b, den))
+    return _open_complement(items, lo, hi, k)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ which the exact integer path checks with zero tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -27,11 +26,7 @@ from .arith import (
     power_sum_tail,
 )
 from .contfrac import AlphaSpec, ConvergentTable
-from .dioset import (
-    exclusion_radius,
-    fractions_in_interval,
-    union_open_measure,
-)
+from .dioset import exclusion_radius, fractions_in_interval, sieve_window
 from .quality import _membership, _table_to, _tail_lower
 
 HOLDS = "holds"
@@ -230,9 +225,10 @@ def census(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int, qmax: int,
            precision: int = DEFAULT_PRECISION) -> CensusRecord:
     """Exact measure audit of the window between convergents n and n+2.
 
-    Sums the excluded intervals with denominator <= qmax clipped to the
-    window, adds an analytic tail bound for larger denominators, and reports
-    whether surviving measure provably remains.
+    The excluded measure with denominator <= qmax inside the window is its
+    width minus the measure of what the window sieve leaves.  Adds an
+    analytic tail bound for larger denominators, and reports whether
+    surviving measure provably remains.
     """
     gamma, tau = Fraction(gamma), Fraction(tau)
     if gamma <= 0:
@@ -247,19 +243,7 @@ def census(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int, qmax: int,
     lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
     width = hi - lo
 
-    clipped: list[tuple[Fraction, Fraction]] = []
-    for q in range(1, qmax + 1):
-        r = exclusion_radius(q, gamma, tau, "outer", precision)
-        p_start = -((-(lo - r).numerator * q) // (lo - r).denominator)  # ceil(q*(lo-r))
-        p_end = ((hi + r).numerator * q) // (hi + r).denominator        # floor(q*(hi+r))
-        for p in range(p_start, p_end + 1):
-            if math.gcd(p, q) != 1:
-                continue
-            center = Fraction(p, q)
-            a, b = center - r, center + r
-            if a < hi and b > lo:
-                clipped.append((max(a, lo), min(b, hi)))
-    excluded_measure = union_open_measure(clipped)
+    excluded_measure = width - sieve_window(gamma, tau, qmax, lo, hi, "outer", precision).measure
 
     u1 = power_sum_tail(tau, qmax)
     u2 = power_sum_tail(tau + 1, qmax)
@@ -338,25 +322,6 @@ def census_obj(rec: CensusRecord) -> dict:
         "verdict": rec.verdict,
         "c_n": None if rec.c_n is None else format_rat(rec.c_n),
     }
-
-
-def isolation_obj(rep: IsolationReport) -> dict:
-    return {
-        "member": rep.member,
-        "at_min_level": rep.at_min_level,
-        "cross_parity_ties": [list(t) for t in rep.cross_parity_ties],
-        "attained_minima": list(rep.attained_minima),
-        "boundary_flags": list(rep.boundary_flags),
-        "unresolved": list(rep.unresolved),
-    }
-
-
-def margin_table_csv(rows: list[tuple[int, int, Fraction]]) -> str:
-    """Slack table as CSV text: one "p,q,slack" row per window fraction."""
-    from .arith import format_rat
-    lines = ["p,q,slack"]
-    lines += [f"{p},{q},{format_rat(slack)}" for p, q, slack in rows]
-    return "\n".join(lines) + "\n"
 
 
 def quotient_growth_table(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,

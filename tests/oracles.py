@@ -1,13 +1,15 @@
 """Independent oracles for the library's exact sieve and Farey enumeration.
 
-Each one checks a definition directly, by a scan over every denominator, with
-none of the library's sweep or recurrence machinery.
+Each one checks a definition directly, by a scan over every denominator or
+with plain ``Fraction`` arithmetic, with none of the library's integer keys,
+sweep or recurrence machinery.
 """
 
 import math
 from fractions import Fraction
 
-from dioph.arith import DomainError
+from dioph.arith import DEFAULT_PRECISION, DomainError
+from dioph.dioset import exclusion_radius, farey_sequence
 
 
 def fractions_in_interval_bruteforce(lo: Fraction, hi: Fraction, max_den: int,
@@ -40,3 +42,84 @@ def direct_member(x: Fraction, gamma: Fraction, tau: Fraction, qmax: int) -> boo
         if dist * q ** t < gamma:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The Fraction sieve, the linear measure and the clipped census loop, kept as
+# they were before the library moved to one integer-keyed sieve.
+# ---------------------------------------------------------------------------
+
+def merge_open(items):
+    """Merge open intervals on STRICT overlap only: a shared endpoint is not
+    interior to either interval, so touching intervals stay separate."""
+    merged = []
+    for lo, hi in sorted((lo, hi) for lo, hi in items if hi > lo):
+        if merged and lo < merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def open_union_complement_pairs(excluded, domain=(Fraction(0), Fraction(1))):
+    """Complement of a union of OPEN intervals inside a closed domain, as
+    a tuple of (lo, hi) pairs."""
+    d_lo, d_hi = Fraction(domain[0]), Fraction(domain[1])
+    pieces = []
+    cur = d_lo
+    for lo, hi in merge_open(excluded):
+        if hi <= cur or hi < d_lo:
+            continue
+        if lo >= d_hi:
+            break
+        if lo >= cur:
+            pieces.append((cur, min(lo, d_hi)))
+        cur = hi
+    if cur <= d_hi:
+        pieces.append((cur, d_hi))
+    return tuple(p for p in pieces if p[0] <= p[1])
+
+
+def union_open_measure(excluded) -> Fraction:
+    """Measure of a union of open intervals."""
+    total = Fraction(0)
+    for lo, hi in merge_open(excluded):
+        total += hi - lo
+    return total
+
+
+def truncated_set_pairs(gamma, tau, qmax, bits=DEFAULT_PRECISION):
+    """[0,1] minus every exclusion interval with denominator <= qmax, built
+    from Fraction endpoints over the Farey sequence."""
+    gamma, tau = Fraction(gamma), Fraction(tau)
+    radii = {q: exclusion_radius(q, gamma, tau, "inner", bits)
+             for q in range(1, qmax + 1)}
+    excluded = []
+    for p, q in farey_sequence(qmax):
+        r = radii[q]
+        center = Fraction(p, q)
+        excluded.append((center - r, center + r))
+    return open_union_complement_pairs(excluded)
+
+
+def linear_measure(intervals) -> Fraction:
+    """Sum of the interval lengths, one term at a time."""
+    return sum((hi - lo for lo, hi in intervals), Fraction(0))
+
+
+def clipped_excluded_measure(lo, hi, gamma, tau, qmax, bits=DEFAULT_PRECISION) -> Fraction:
+    """Measure of the exclusion intervals with denominator <= qmax clipped to
+    the window [lo, hi], radii rounded "outer"."""
+    clipped = []
+    for q in range(1, qmax + 1):
+        r = exclusion_radius(q, gamma, tau, "outer", bits)
+        p_start = -((-(lo - r).numerator * q) // (lo - r).denominator)  # ceil(q*(lo-r))
+        p_end = ((hi + r).numerator * q) // (hi + r).denominator        # floor(q*(hi+r))
+        for p in range(p_start, p_end + 1):
+            if math.gcd(p, q) != 1:
+                continue
+            center = Fraction(p, q)
+            a, b = center - r, center + r
+            if a < hi and b > lo:
+                clipped.append((max(a, lo), min(b, hi)))
+    return union_open_measure(clipped)

@@ -132,6 +132,18 @@ def test_set_cache_transparency(tmp_path):
     assert list(cache.glob("*.json"))  # the entry was materialized
 
 
+def test_set_cache_entry_follows_the_umask(tmp_path):
+    cache = tmp_path / "cache"
+    old = os.umask(0o022)
+    try:
+        assert run(["set", "--gamma", "1/10", "--tau", "4", "--qmax", "5",
+                    "--cache-dir", str(cache), "--out", str(tmp_path / "s.json")]) == 0
+    finally:
+        os.umask(old)
+    [entry] = cache.glob("*.json")
+    assert entry.stat().st_mode & 0o777 == 0o644
+
+
 @pytest.mark.parametrize("garbage", [
     "{not json",
     "[]",

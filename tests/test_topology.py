@@ -353,7 +353,7 @@ def test_window_margin_empty_below_cutoff():
 def test_report_serialization_helpers():
     import json
 
-    from dioph.topology import census_obj, gap_report_obj, isolation_obj, margin_table_csv
+    from dioph.topology import census_obj, gap_report_obj
 
     rep = gap_report(WINDOW_ALPHA, F(1, 10), F(4), WINDOW_N)
     obj = gap_report_obj(rep)
@@ -361,12 +361,6 @@ def test_report_serialization_helpers():
     assert obj["gap"] == HOLDS
     rec = census(WINDOW_ALPHA, F(1, 10), F(4), WINDOW_N, 1200)
     assert json.dumps(census_obj(rec))
-    iso = detect_isolation(GOLDEN, F(3, 8), F(1), depth=15)
-    assert json.dumps(isolation_obj(iso))
-    rows = window_margin_table(WINDOW_ALPHA, F(1, 10), F(4), WINDOW_N)
-    csv_text = margin_table_csv(rows)
-    assert csv_text.startswith("p,q,slack\n")
-    assert len(csv_text.splitlines()) == len(rows) + 1
 
 
 def test_quotient_growth_table():
