@@ -4,16 +4,22 @@ Subcommands: cf, gamma, member, set, census, gaps, bands, sweep.
 All numeric flags are parsed as exact rationals ("0.1" means 1/10 exactly);
 no binary floating point enters the pipeline.  Output is deterministic:
 identical invocations produce identical bytes (an optional footer with a
-timestamp is off by default).  Exit codes: 0 success, 1 usage error, 2 when
-any requested verdict is unresolved at the precision cap (results are still
-emitted, marked "unresolved"/"unknown"), 3 when an internal consistency check
-fails (a bug, reported as "dioph: internal error: ..." on stderr).
+timestamp is off by default).  Each command offers only the formats it
+writes: set and sweep json, csv and svg; cf, gaps and bands json and csv;
+gamma, member and census json.  A command returns its text and exit code;
+run() alone writes them out and, with --cache-dir, stores them, so a request
+repeated with the same options, as typed, is served from that text.  Exit
+codes: 0 success, 1 usage error, 2 when any requested verdict is unresolved
+at the precision cap (results are still emitted, marked
+"unresolved"/"unknown"), 3 when an internal consistency check fails (a bug,
+reported as "dioph: internal error: ..." on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -44,9 +50,9 @@ from .quality import _gamma_report
 from .svgplot import render_svg
 
 DEFAULT_PREC = 256
-# part of every set cache key: raise it when a set payload can change, so an
-# entry written by an older sieve is a miss and is rewritten
-CACHE_FORMAT = 2
+# part of every cache key: raise it when the output of a request can change,
+# so an entry written by an older program is a miss and is rewritten
+CACHE_FORMAT = 3
 
 
 def _cap() -> int:
@@ -65,18 +71,53 @@ def _enc_obj(e: Optional[RealEnclosure]):
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "footer", False):
+    if args.footer:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        if text.endswith("\n"):
-            text = text[:-1] + f"\n# generated {stamp}\n"
-        else:
-            text += f"\n# generated {stamp}\n"
-    data = text.encode()
+        text = text.removesuffix("\n") + f"\n# generated {stamp}\n"
     if args.out:
-        Path(args.out).write_bytes(data)
+        Path(args.out).write_bytes(text.encode())
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
+
+
+def _cached(args) -> tuple[str, int]:
+    """The text and exit code of the request in ``args``: from its entry in
+    ``--cache-dir`` when there is a valid one, else from its command, whose
+    result is then stored.  The key holds every parsed option, as typed, but
+    --out, --cache-dir and --footer, which do not change the text."""
+    if not args.cache_dir:
+        return args.func(args)
+    request = {k: v for k, v in vars(args).items()
+               if k not in ("out", "cache_dir", "footer", "func")}
+    key = json.dumps([CACHE_FORMAT, request], sort_keys=True)
+    digest = hashlib.sha256(key.encode()).hexdigest()
+    cache_dir = Path(args.cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    path = cache_dir / f"{digest}.json"
+    try:
+        entry = json.loads(path.read_text())
+        if entry["key"] == key and isinstance(entry["output"], str) and entry["code"] in (0, 2):
+            return entry["output"], entry["code"]
+    except (OSError, ValueError, KeyError, TypeError):
+        pass  # missing, unreadable or malformed: a miss, rewritten below
+    text, code = args.func(args)
+    entry = {
+        "key": key,
+        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "code": code,
+        "output": text,
+    }
+    # a reader never sees a half-written entry
+    with tempfile.NamedTemporaryFile("w", dir=cache_dir, suffix=".tmp",
+                                     delete=False) as fh:
+        fh.write(json.dumps(entry))
+    # the temporary file is private: give the entry the mode of a plain write
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(fh.name, 0o666 & ~umask)
+    os.replace(fh.name, path)
+    return text, code
 
 
 def _json(payload) -> str:
@@ -95,7 +136,7 @@ def _int_list(text: str) -> list[int]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_cf(args) -> int:
+def _cmd_cf(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
     quotients = cf_expand(alpha, args.depth)
     table = convergents(quotients)
@@ -118,10 +159,8 @@ def _cmd_cf(args) -> int:
     if args.format == "csv":
         lines = ["n,a,p,q,parity"]
         lines += [f"{n},{a},{p},{q},{parity}" for n, a, p, q, parity in table.rows()]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _json(payload))
-    return 0
+        return "\n".join(lines) + "\n", 0
+    return _json(payload), 0
 
 
 def _gamma_result_obj(res: quality.GammaResult):
@@ -134,7 +173,7 @@ def _gamma_result_obj(res: quality.GammaResult):
     }
 
 
-def _cmd_gamma(args) -> int:
+def _cmd_gamma(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
     tau = parse_rat(args.tau)
     res, even, odd, quality_rows = _gamma_report(alpha, tau, args.depth, args.prec)
@@ -148,11 +187,10 @@ def _cmd_gamma(args) -> int:
         "gamma_odd": _gamma_result_obj(odd),
         "rows": rows,
     }
-    _emit(args, _json(payload))
-    return 0
+    return _json(payload), 0
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
     verdict = quality.membership(alpha, parse_rat(args.gamma), parse_rat(args.tau),
                                  args.budget, args.prec)
@@ -168,58 +206,7 @@ def _cmd_member(args) -> int:
         "lower": None if verdict.lower is None else format_rat(verdict.lower),
         "upper": None if verdict.upper is None else format_rat(verdict.upper),
     }
-    _emit(args, _json(payload))
-    return 2 if verdict.is_unknown else 0
-
-
-def _set_payload(gamma: Fraction, tau: Fraction, qmax: int, prec: int):
-    if tau > 2:  # the bracket's outer set is the truncated set
-        bracket = dioset.set_bracket(gamma, tau, qmax, prec)
-        s, tail = bracket.outer, format_rat(bracket.tail_measure_bound)
-    else:
-        s, tail = dioset.truncated_set(gamma, tau, qmax, prec), None
-    return {
-        "gamma": format_rat(gamma),
-        "tau": format_rat(tau),
-        "qmax": qmax,
-        "intervals": s.to_obj(),
-        "measure": format_rat(s.measure),
-        "tail_bound": tail,
-    }, s
-
-
-def _cached_set_payload(args, gamma: Fraction, tau: Fraction, qmax: int, prec: int):
-    if not args.cache_dir:
-        return _set_payload(gamma, tau, qmax, prec)
-    key = (f"v{CACHE_FORMAT};set;gamma={format_rat(gamma)};tau={format_rat(tau)};"
-           f"qmax={qmax};prec={prec}")
-    digest = hashlib.sha256(key.encode()).hexdigest()
-    cache_dir = Path(args.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"{digest}.json"
-    try:
-        entry = json.loads(path.read_text())
-        if entry["key"] == key:
-            payload = entry["value"]
-            return payload, dioset.IntervalSet.from_obj(payload["intervals"])
-    except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError):
-        pass  # missing, unreadable or malformed: a miss, rewritten below
-    payload, s = _set_payload(gamma, tau, qmax, prec)
-    entry = {
-        "key": key,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "value": payload,
-    }
-    # a reader never sees a half-written entry
-    with tempfile.NamedTemporaryFile("w", dir=cache_dir, suffix=".tmp",
-                                     delete=False) as fh:
-        fh.write(json.dumps(entry, indent=2) + "\n")
-    # the temporary file is private: give the entry the mode of a plain write
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(fh.name, 0o666 & ~umask)
-    os.replace(fh.name, path)
-    return payload, s
+    return _json(payload), 2 if verdict.is_unknown else 0
 
 
 def _alpha_ticks(args, qmax: int):
@@ -231,31 +218,41 @@ def _alpha_ticks(args, qmax: int):
     return [f for f in map(table.fraction, kept) if 0 <= f <= 1]
 
 
-def _cmd_set(args) -> int:
+def _cmd_set(args) -> tuple[str, int]:
     gamma, tau = parse_rat(args.gamma), parse_rat(args.tau)
-    payload, s = _cached_set_payload(args, gamma, tau, args.qmax, args.prec)
-    if args.format == "csv":
-        lines = [f"{lo},{hi}" for lo, hi in payload["intervals"]]
-        _emit(args, "\n".join(lines) + ("\n" if lines else ""))
-    elif args.format == "svg":
-        label = f"g={payload['gamma']} Q={payload['qmax']}"
-        _emit(args, render_svg([(label, s)], _alpha_ticks(args, args.qmax)))
+    if tau > 2:  # the bracket's outer set is the truncated set
+        bracket = dioset.set_bracket(gamma, tau, args.qmax, args.prec)
+        s, tail = bracket.outer, format_rat(bracket.tail_measure_bound)
     else:
-        _emit(args, _json(payload))
-    return 0
+        s, tail = dioset.truncated_set(gamma, tau, args.qmax, args.prec), None
+    if args.format == "svg":
+        label = f"g={format_rat(gamma)} Q={args.qmax}"
+        return render_svg([(label, s)], _alpha_ticks(args, args.qmax)), 0
+    intervals = s.to_obj()
+    if args.format == "csv":
+        lines = [f"{lo},{hi}" for lo, hi in intervals]
+        return "\n".join(lines) + ("\n" if lines else ""), 0
+    payload = {
+        "gamma": format_rat(gamma),
+        "tau": format_rat(tau),
+        "qmax": args.qmax,
+        "intervals": intervals,
+        "measure": format_rat(s.measure),
+        "tail_bound": tail,
+    }
+    return _json(payload), 0
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
     rec = topology.census(alpha, parse_rat(args.gamma), parse_rat(args.tau),
                           args.n, args.qmax, args.prec)
     payload = {"alpha": format_alpha(alpha)}
     payload.update(topology.census_obj(rec))
-    _emit(args, _json(payload))
-    return 0
+    return _json(payload), 0
 
 
-def _cmd_gaps(args) -> int:
+def _cmd_gaps(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
     gamma, tau = parse_rat(args.gamma), parse_rat(args.tau)
     reports = []
@@ -264,22 +261,21 @@ def _cmd_gaps(args) -> int:
         rep = topology.gap_report(alpha, gamma, tau, n, args.prec)
         unresolved = unresolved or topology.UNRESOLVED in (rep.gap, rep.gap_strict)
         reports.append(rep)
+    code = 2 if unresolved else 0
     if args.format == "csv":
         lines = ["n,a_next,gap,gap_strict"]
         lines += [f"{r.n},{r.a_actual},{r.gap},{r.gap_strict}" for r in reports]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        payload = {
-            "alpha": format_alpha(alpha),
-            "gamma": format_rat(gamma),
-            "tau": format_rat(tau),
-            "reports": [topology.gap_report_obj(r) for r in reports],
-        }
-        _emit(args, _json(payload))
-    return 2 if unresolved else 0
+        return "\n".join(lines) + "\n", code
+    payload = {
+        "alpha": format_alpha(alpha),
+        "gamma": format_rat(gamma),
+        "tau": format_rat(tau),
+        "reports": [topology.gap_report_obj(r) for r in reports],
+    }
+    return _json(payload), code
 
 
-def _cmd_bands(args) -> int:
+def _cmd_bands(args) -> tuple[str, int]:
     tau = parse_rat(args.tau)
     checkpoints = _int_list(args.checkpoints) if args.checkpoints else []
     report = bands_mod.exponents(tau, checkpoints, precision=64)
@@ -331,13 +327,11 @@ def _cmd_bands(args) -> int:
         for b in band_records:
             lines.append(f"{b.q},{b.p},{b.n_quot},{format_rat(b.lo.lo)},"
                          f"{format_rat(b.hi.hi)},{format_rat(b.width_bound)}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _json(payload))
-    return 0
+        return "\n".join(lines) + "\n", 0
+    return _json(payload), 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[str, int]:
     tau = parse_rat(args.tau)
     gammas = _rat_list(args.gamma_list) if args.gamma_list else [parse_rat(args.gamma)]
     qmaxes = _int_list(args.qmax_list) if args.qmax_list else [args.qmax]
@@ -349,27 +343,25 @@ def _cmd_sweep(args) -> int:
                          dioset.truncated_set(gamma, tau, qmax, args.prec)))
     if args.format == "svg":
         ticks = _alpha_ticks(args, max(qmaxes))
-        _emit(args, render_svg([(label, s) for label, _g, _q, s in rows], ticks))
-    elif args.format == "csv":
+        return render_svg([(label, s) for label, _g, _q, s in rows], ticks), 0
+    if args.format == "csv":
         lines = ["label,lo,hi"]
         for label, _g, _q, s in rows:
             for lo, hi in s.intervals:
                 lines.append(f"{label},{format_rat(lo)},{format_rat(hi)}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        payload = [
-            {
-                "label": label,
-                "gamma": format_rat(g),
-                "tau": format_rat(tau),
-                "qmax": q,
-                "intervals": s.to_obj(),
-                "measure": format_rat(s.measure),
-            }
-            for label, g, q, s in rows
-        ]
-        _emit(args, _json(payload))
-    return 0
+        return "\n".join(lines) + "\n", 0
+    payload = [
+        {
+            "label": label,
+            "gamma": format_rat(g),
+            "tau": format_rat(tau),
+            "qmax": q,
+            "intervals": s.to_obj(),
+            "measure": format_rat(s.measure),
+        }
+        for label, g, q, s in rows
+    ]
+    return _json(payload), 0
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +373,12 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dioph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, alpha=False, gamma=False, tau=False, qmax=None, depth=None):
+    def common(p, formats, alpha=False, gamma=False, tau=False, qmax=None, depth=None):
         if alpha:
             p.add_argument("--alpha", required=alpha == "required",
                            help="rat:7/10 | quad:P,D,Q | cf:[0;1,2,3]")
@@ -399,40 +392,40 @@ def _build_parser() -> _Parser:
             p.add_argument("--depth", type=int, default=depth)
         p.add_argument("--prec", type=int, default=DEFAULT_PREC,
                        help="working precision in bits (capped by DIOPH_PRECISION_CAP)")
-        p.add_argument("--format", choices=("json", "csv", "svg"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
         p.add_argument("--cache-dir", dest="cache_dir", default=None)
         p.add_argument("--footer", action="store_true",
                        help="append a timestamp footer (breaks byte determinism)")
 
     p = sub.add_parser("cf", help="continued-fraction expansion and convergents")
-    common(p, alpha="required", depth=20)
+    common(p, ("json", "csv"), alpha="required", depth=20)
     p.set_defaults(func=_cmd_cf)
 
     p = sub.add_parser("gamma", help="quality rows and certified infimum bracket")
-    common(p, alpha="required", tau=True, depth=30)
+    common(p, ("json",), alpha="required", tau=True, depth=30)
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser("member", help="certified membership verdict")
-    common(p, alpha="required", gamma=True, tau=True)
+    common(p, ("json",), alpha="required", gamma=True, tau=True)
     p.add_argument("--budget", type=int, default=40)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("set", help="exact truncated set")
-    common(p, alpha=True, gamma=True, tau=True, qmax=50)
+    common(p, ("json", "csv", "svg"), alpha=True, gamma=True, tau=True, qmax=50)
     p.set_defaults(func=_cmd_set)
 
     p = sub.add_parser("census", help="window measure census between convergents")
-    common(p, alpha="required", gamma=True, tau=True, qmax=1000)
+    common(p, ("json",), alpha="required", gamma=True, tau=True, qmax=1000)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("gaps", help="gap condition reports for n = 0..depth-2")
-    common(p, alpha="required", gamma=True, tau=True, depth=12)
+    common(p, ("json", "csv"), alpha="required", gamma=True, tau=True, depth=12)
     p.set_defaults(func=_cmd_gaps)
 
     p = sub.add_parser("bands", help="series exponents, band tables, union bounds")
-    common(p, tau=True, qmax=30)
+    common(p, ("json", "csv"), tau=True, qmax=30)
     p.add_argument("--checkpoints", default=None,
                    help="comma list of partial-sum checkpoints")
     p.add_argument("--band", default=None,
@@ -448,7 +441,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bands)
 
     p = sub.add_parser("sweep", help="ladder of truncated sets over gamma or Q")
-    common(p, alpha=True, gamma=False, tau=True, qmax=50)
+    common(p, ("json", "csv", "svg"), alpha=True, gamma=False, tau=True, qmax=50)
     p.add_argument("--gamma", default="1/10")
     p.add_argument("--gamma-list", dest="gamma_list", default=None)
     p.add_argument("--qmax-list", dest="qmax_list", default=None)
@@ -460,17 +453,18 @@ def _build_parser() -> _Parser:
 def run(argv=None) -> int:
     """Entry point returning the exit code (0 ok, 1 usage, 2 unresolved,
     3 internal error)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         args.prec = min(args.prec, _cap())
-        return args.func(args)
+        text, code = _cached(args)
     except DomainError as exc:
         print(f"dioph: error: {exc}", file=sys.stderr)
         return 1
     except InternalConsistencyError as exc:
         print(f"dioph: internal error: {exc}", file=sys.stderr)
         return 3
+    _emit(args, text)
+    return code
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arith import (
     DEFAULT_PRECISION,
@@ -44,13 +44,16 @@ class IntervalSet:
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        prev_hi: Optional[Fraction] = None
+        # a/b <= c/d iff a*d <= c*b, denominators being positive; the first
+        # interval is compared with -1/0, below every endpoint
+        prev_n, prev_d = -1, 0
         for lo, hi in self.intervals:
-            if lo > hi:
+            lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            if lo_n * hi_d > hi_n * lo_d:
                 raise DomainError(f"inverted interval [{lo}, {hi}]")
-            if prev_hi is not None and lo <= prev_hi:
+            if lo_n * prev_d <= prev_n * lo_d:
                 raise DomainError("intervals must be sorted and disjoint")
-            prev_hi = hi
+            prev_n, prev_d = hi_n, hi_d
 
     @property
     def measure(self) -> Fraction:

@@ -150,6 +150,8 @@ def test_set_cache_entry_follows_the_umask(tmp_path):
     '{"key": "set;gamma=1/2;tau=4;qmax=30;prec=256", "value": {}}',
     '{"key": "KEY", "value": {"intervals": [[1, 2]]}}',
     '{"key": "KEY", "value": {"intervals": [["a", "b"]]}}',
+    '{"key": "KEY", "code": 0, "output": ["1/10,159/320"]}',
+    '{"key": "KEY", "code": 1, "output": ""}',
 ])
 def test_set_cache_corrupt_entry_is_a_miss(tmp_path, capsys, garbage):
     args = ["set", "--gamma", "1/10", "--tau", "4", "--qmax", "30"]
@@ -168,19 +170,47 @@ def test_set_cache_corrupt_entry_is_a_miss(tmp_path, capsys, garbage):
 
 
 def test_set_cache_ignores_an_unversioned_entry(tmp_path):
-    # an entry stored under the key format used before CACHE_FORMAT, for the
-    # same request, was written by an older sieve: it must not be served
+    # entries stored under the key formats used before CACHE_FORMAT, for the
+    # same request, were written by an older sieve: they must not be served
     args = ["set", "--gamma", "1/10", "--tau", "4", "--qmax", "30"]
     _, plain = _run_to_file(tmp_path, "plain.json", list(args))
     cache = tmp_path / "cache"
     cache.mkdir()
-    old_key = "set;gamma=1/10;tau=4;qmax=30;prec=256"
     stale = json.loads(plain)
     stale["intervals"], stale["measure"] = [["0", "1"]], "1"
-    digest = hashlib.sha256(old_key.encode()).hexdigest()
-    (cache / f"{digest}.json").write_text(json.dumps({"key": old_key, "value": stale}))
+    for old_key in ("set;gamma=1/10;tau=4;qmax=30;prec=256",
+                    "v2;set;gamma=1/10;tau=4;qmax=30;prec=256"):
+        digest = hashlib.sha256(old_key.encode()).hexdigest()
+        (cache / f"{digest}.json").write_text(json.dumps({"key": old_key, "value": stale}))
     code, again = _run_to_file(tmp_path, "again.json", args + ["--cache-dir", str(cache)])
     assert code == 0 and again == plain
+
+
+def test_gamma_is_served_from_its_cache_entry(tmp_path, monkeypatch):
+    args = ["gamma", "--alpha", "quad:-1,5,2", "--tau", "1",
+            "--cache-dir", str(tmp_path / "cache")]
+    code, first = _run_to_file(tmp_path, "miss.json", list(args))
+    assert code == 0
+
+    def broken(*args, **kwargs):
+        raise arith.InternalConsistencyError("computed again")
+
+    monkeypatch.setattr(cli, "_gamma_report", broken)
+    code, again = _run_to_file(tmp_path, "hit.json", list(args))
+    assert code == 0 and again == first
+
+
+def test_cache_stores_no_footer(tmp_path):
+    args = ["set", "--gamma", "1/10", "--tau", "4", "--qmax", "5"]
+    _, plain = _run_to_file(tmp_path, "plain.json", list(args))
+    cache = tmp_path / "cache"
+    for name in ("miss.json", "hit.json"):
+        _, data = _run_to_file(tmp_path, name,
+                               args + ["--cache-dir", str(cache), "--footer"])
+        body, footer = data.decode().rsplit("\n# generated ", 1)
+        assert (body + "\n").encode() == plain and footer.endswith("\n")
+    [entry] = cache.glob("*.json")
+    assert json.loads(entry.read_text())["output"] == plain.decode()
 
 
 def test_internal_error_exits_three(monkeypatch, capsys):
@@ -259,6 +289,59 @@ def test_usage_errors_exit_one(capsys):
     assert run(["member", "--alpha", "rat:3/2", "--gamma", "1/10",
                 "--tau", "1"]) == 1
     assert run(["nonsense"]) == 1
+
+
+# one small request per command: every --format value a command accepts must
+# change what it writes
+_SMALL_REQUESTS = {
+    "cf": ["--alpha", "quad:-1,5,2", "--depth", "4"],
+    "gamma": ["--alpha", "quad:-1,5,2", "--tau", "1", "--depth", "4"],
+    "member": ["--alpha", "quad:-1,5,2", "--gamma", "2/5", "--tau", "1"],
+    "set": ["--gamma", "1/10", "--tau", "4", "--qmax", "2", "--alpha", "quad:-1,5,2"],
+    "census": ["--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "4", "--n", "1",
+               "--qmax", "20"],
+    "gaps": ["--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "4", "--depth", "4"],
+    "bands": ["--tau", "4", "--band", "2,16,1"],
+    "sweep": ["--tau", "4", "--qmax-list", "1,2"],
+}
+
+
+def test_every_format_a_command_accepts_is_written(tmp_path, capsys):
+    [commands] = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(_SMALL_REQUESTS)
+    for name, parser in commands.choices.items():
+        [fmt] = [a for a in parser._actions if a.dest == "format"]
+        for choice in fmt.choices:
+            code, data = _run_to_file(tmp_path, f"{name}.{choice}",
+                                      [name, *_SMALL_REQUESTS[name], "--format", choice])
+            assert code == 0, (name, choice)
+            text = data.decode()
+            if choice == "json":
+                json.loads(text)
+            elif choice == "svg":
+                assert text.startswith("<?xml"), name
+            else:
+                assert choice == "csv"
+                with pytest.raises(ValueError):
+                    json.loads(text)
+    assert run(["gamma", *_SMALL_REQUESTS["gamma"], "--format", "csv"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once(tmp_path, monkeypatch):
+    cli._build_parser.cache_clear()
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for _ in range(2):
+        assert run(["cf", "--alpha", "rat:7/10", "--out", str(tmp_path / "cf.json")]) == 0
+    assert built.count("dioph") == 1
 
 
 def test_precision_cap_env(tmp_path, monkeypatch):

@@ -172,3 +172,21 @@ def test_fractions_in_interval_matches_bruteforce(rng):
 def test_interval_set_json_round_trip():
     s = truncated_set(F(1, 10), F(4), 7)
     assert IntervalSet.from_obj(s.to_obj()) == s
+
+
+def test_interval_set_rejects_inverted_overlapping_and_touching_intervals():
+    big = 10**40
+    for bad in [
+        ((F(1, 2), F(1, 3)),),  # inverted
+        ((F(0), F(1, 2)), (F(1, 3), F(1))),  # overlapping
+        ((F(0), F(1, 2)), (F(1, 2), F(1))),  # touching
+        ((F(1, 2), F(1)), (F(0), F(1, 4))),  # out of order
+        ((F(0), F(1, 2) + F(1, big)), (F(1, 2), F(1))),  # overlapping by 1/10^40
+        ((F(-1), F(-1, 2)), (F(-2, 3), F(0))),  # overlapping below 0
+    ]:
+        with pytest.raises(DomainError):
+            IntervalSet(bad)
+    point = IntervalSet(((F(1, 3), F(1, 3)),))
+    assert F(1, 3) in point and point.measure == 0
+    near = IntervalSet(((F(-1), F(-1, 2)), (F(0), F(1, 2) - F(1, big)), (F(1, 2), F(1))))
+    assert near.measure == F(3, 2) - F(1, big)
