@@ -220,7 +220,7 @@ def _alpha_ticks(args, qmax: int):
 
 def _cmd_set(args) -> tuple[str, int]:
     gamma, tau = parse_rat(args.gamma), parse_rat(args.tau)
-    if tau > 2:  # the bracket's outer set is the truncated set
+    if tau > 2 and args.format == "json":  # the bracket's outer set is the truncated set
         bracket = dioset.set_bracket(gamma, tau, args.qmax, args.prec)
         s, tail = bracket.outer, format_rat(bracket.tail_measure_bound)
     else:

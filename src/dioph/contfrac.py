@@ -4,9 +4,12 @@ Three kinds of input number are supported:
 
 * ``RationalAlpha`` — an exact rational, with the unique finite expansion
   whose last quotient is >= 2 (when the expansion has more than one term).
-* ``QuadraticAlpha`` — (p + sqrt(d))/q, expanded with the classical integer
-  state recurrence; the expansion is eventually periodic and the period is
-  detected exactly, which gives exact algebraic tail values.
+* ``QuadraticAlpha`` — (p + sqrt(d))/q, expanded by the classical integer
+  state recurrence into exact algebraic tails.  By Galois's theorem the
+  expansion is purely periodic from its first reduced tail; one walk around
+  the period from there, holding one state, finds the period and the cycle
+  floors in O(period) time, and the states kept reach only the deepest index
+  asked for: memory O(depth), not O(period).
 * ``PrefixAlpha`` — a finite list of known quotients plus an interval
   [tail_low, tail_high] asserted to contain EVERY tail value at or beyond the
   end of the prefix (the weakest sound default is [1, inf)).
@@ -37,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .arith import (
@@ -45,7 +48,9 @@ from .arith import (
     Quad,
     Real,
     RealEnclosure,
+    _floor_quad_int,
     _square_free_split,
+    _surd_sign,
     format_rat,
     is_square,
     parse_rat,
@@ -128,15 +133,38 @@ class QuadraticAlpha:
         """(c, k) with d = c^2 * k and k reduced: the field, computed once."""
         return _square_free_split(self.d)
 
-    def value(self) -> Quad:
+    @cached_property
+    def _radicand(self) -> tuple[int, int, int]:
+        """(m, D, isqrt(D)) for the tails (P_n + sqrt(D))/Q_n, D = d*m^2: m is
+        1, or |q| when q does not divide d - p^2, so that Q_n divides D - P_n^2."""
+        m = 1 if (self.d - self.p * self.p) % self.q == 0 else abs(self.q)
+        return m, self.d * m * m, math.isqrt(self.d * m * m)
+
+    @cached_property
+    def _states(self) -> list[tuple[int, int, int]]:
+        """(P_n, Q_n, a_n), grown by ``_state`` to the deepest index asked for."""
+        m, d, _s = self._radicand
+        return [(self.p * m, self.q * m, _floor_quad_int(self.p * m, 1, self.q * m, d))]
+
+    def _state(self, n: int) -> tuple[int, int, int]:
+        states, d = self._states, self._radicand[1]
+        while len(states) <= n:
+            states.append(_next_state(*states[-1], d))
+        return states[n]
+
+    def _surd(self, pp: int, qq: int) -> Quad:
+        """(pp + sqrt(D))/qq in alpha's own field, sqrt(D) = m*c*sqrt(k)."""
         c, k = self._field
-        return Quad(Fraction(self.p, self.q), Fraction(c, self.q), k)
+        return Quad(Fraction(pp, qq), Fraction(c * self._radicand[0], qq), k)
+
+    def value(self) -> Quad:
+        return self._surd(*self._state(0)[:2])
 
     def quotients_to(self, stop: int) -> list[int]:
-        return [_quad_quotient(self, n) for n in range(stop)]
+        return [self._state(n)[2] for n in range(stop)]
 
     def tail(self, n: int) -> Real:
-        return Real.from_exact(_quad_tail(self, n))
+        return Real.from_exact(self._surd(*self._state(n)[:2]))
 
     def real(self) -> Real:
         return Real.from_exact(self.value())
@@ -152,33 +180,71 @@ class QuadraticAlpha:
         return max(depth, cf_cycle(self)[0], 1)
 
     @cached_property
-    def _cycle_floors(self) -> tuple[Union[Fraction, Quad], ...]:
-        """min of 1/(alpha_{n+1} + 1/a_n) over one period of n: over every
-        n, over even n and over odd n, from one walk of the cycle."""
-        start, period = cf_cycle(self)
-        floors: list = [None, None, None]
-        for n in range(start, start + period):
-            cand = 1 / (_quad_tail(self, n + 1) + Fraction(1, _quad_quotient(self, n)))
-            for k in (0, 1 + n % 2):
-                if floors[k] is None or cand < floors[k]:
-                    floors[k] = cand
-        return tuple(floors)
+    def _cycle(self) -> tuple[int, int, tuple[Optional[Quad], ...]]:
+        """(preperiod, period, floors).  The preperiod is the index of the first
+        reduced tail, 0 < P <= s < P + Q and Q <= P + s with s = isqrt(D);
+        floors is the min of 1/(alpha_{n+1} + 1/a_n) over one period of n:
+        over every n, over even n and over odd n."""
+        _m, d, s = self._radicand
+        start = 0
+        while True:
+            pp, qq, a = self._state(start)
+            if 0 < pp <= s < pp + qq and qq <= pp + s:
+                break
+            start += 1
+        first, n = (pp, qq), start
+        best: list = [None, None, None]  # (a_n, P_{n+1}, Q_{n+1}, a_{n+1}) of each min
+        while True:
+            nxt = _next_state(pp, qq, a, d)
+            cand = (a,) + nxt
+            for k in (1 + n % 2, 0):  # what loses in its parity loses overall
+                if best[k] is not None and not _larger_candidate(cand, best[k], d):
+                    break
+                best[k] = cand
+            pp, qq, a = nxt
+            n += 1
+            if (pp, qq) == first:
+                break
+        floors = tuple(None if b is None else 1 / (self._surd(b[1], b[2]) + Fraction(1, b[0]))
+                       for b in best)
+        return start, n - start, floors
 
     def deep_row_floor(self, table: ConvergentTable, depth: int, parity: Optional[int]
-                       ) -> Optional[tuple[Union[Fraction, Quad], int]]:
+                       ) -> Optional[tuple[Quad, int]]:
         """Each deep row satisfies gamma_n > q_n^(tau-1) / (alpha_{n+1} + 1/a_n),
         since q_{n-1}/q_n < 1/a_n holds strictly for n >= 2; past the
         preperiod the denominator runs over the cycle.  An odd period visits
         every cycle position at both parities."""
-        start, period = cf_cycle(self)
+        start, period, (every, even, odd) = self._cycle
         if depth < max(start, 1):
             return None
-        every, even, odd = self._cycle_floors
         c = every if parity is None or period % 2 else (even, odd)[parity]
         n1 = depth + 1
         if parity is not None and n1 % 2 != parity:
             n1 += 1
-        return c, _quad_denom(self, table, n1)
+        q2, q1 = table.denom(depth - 1), table.denom(depth)
+        for n in range(depth + 1, n1 + 1):
+            q2, q1 = q1, self._state(n)[2] * q1 + q2
+        return c, q1
+
+
+def _next_state(pp: int, qq: int, a: int, d: int) -> tuple[int, int, int]:
+    """The state after (P_n, Q_n, a_n): alpha_{n+1} = 1/(alpha_n - a_n)."""
+    pp = a * qq - pp
+    qq = (d - pp * pp) // qq
+    return pp, qq, _floor_quad_int(pp, 1, qq, d)
+
+
+def _larger_candidate(x: tuple[int, ...], y: tuple[int, ...], d: int) -> bool:
+    """Whether (a*P + Q + a*sqrt(d))/(a*Q) = alpha_{n+1} + 1/a_n is larger for
+    x = (a, P, Q, b) than for y, on integers (Q > 0 inside the cycle); it lies
+    in (b, b + 2) with b = a_{n+1}, which settles most comparisons."""
+    a1, p1, q1, b1 = x
+    a2, p2, q2, b2 = y
+    if abs(b1 - b2) > 1:
+        return b1 > b2
+    return _surd_sign(a1 * a2 * (p1 * q2 - p2 * q1) + q1 * q2 * (a2 - a1),
+                      a1 * a2 * (q2 - q1), d) > 0
 
 
 @dataclass(frozen=True)
@@ -316,79 +382,9 @@ def _rational_quotients(x: Fraction) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=64)
-def _quad_cycle(p: int, d: int, q: int):
-    """Integer expansion states of (p + sqrt(d))/q.
-
-    Returns (preperiod, period, quotients, states, D) where `quotients` and
-    `states` cover indices 0 .. preperiod+period-1 and states[n] = (P_n, Q_n)
-    for the normalized radicand D, which is d or d*q^2 (states are for tail
-    values (P_n + sqrt(D)) / Q_n).  The cache is bounded so that a long-lived
-    process does not keep every alpha it has expanded.
-    """
-    # normalize so that Q divides D - P^2
-    if (d - p * p) % q != 0:
-        p, d, q = p * abs(q), d * q * q, q * abs(q)
-    sqrt_floor = math.isqrt(d)
-    quotients: list[int] = []
-    states: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
-    pp, qq = p, q
-    while True:
-        state = (pp, qq)
-        if state in seen:
-            start = seen[state]
-            return start, len(quotients) - start, tuple(quotients), tuple(states), d
-        seen[state] = len(quotients)
-        states.append(state)
-        if qq > 0:
-            a = (pp + sqrt_floor) // qq
-        else:
-            a = _floor_neg_den(pp, qq, sqrt_floor)
-        quotients.append(a)
-        pp = a * qq - pp
-        qq = (d - pp * pp) // qq
-
-
-def _floor_neg_den(pp: int, qq: int, sqrt_floor: int) -> int:
-    # floor((pp + sqrt(d))/qq) with qq < 0: equals floor((-pp - sqrt(d))/(-qq));
-    # -sqrt(d) has integer part -(sqrt_floor+1) exactly (d non-square)
-    return (-pp - sqrt_floor - 1) // (-qq)
-
-
-def _quad_quotient(alpha: QuadraticAlpha, n: int) -> int:
-    start, period, quotients, _states, _d = _quad_cycle(alpha.p, alpha.d, alpha.q)
-    if n < len(quotients):
-        return quotients[n]
-    return quotients[start + (n - start) % period]
-
-
-def _quad_tail(alpha: QuadraticAlpha, n: int) -> Quad:
-    start, period, _quotients, states, d = _quad_cycle(alpha.p, alpha.d, alpha.q)
-    if n < len(states):
-        pp, qq = states[n]
-    else:
-        pp, qq = states[start + (n - start) % period]
-    # sqrt(D) = c*sqrt(k) in alpha's own field, times |q| when D = d*q^2
-    c, k = alpha._field
-    if d != alpha.d:
-        c *= abs(alpha.q)
-    return Quad(Fraction(pp, qq), Fraction(c, qq), k)
-
-
-def _quad_denom(alpha: QuadraticAlpha, table: ConvergentTable, n: int) -> int:
-    """q_n of alpha, extending the table's denominators through the cycle."""
-    if n < len(table):
-        return table.denom(n)
-    q2, q1 = table.denom(len(table) - 2), table.denom(len(table) - 1)
-    for k in range(len(table), n + 1):
-        q2, q1 = q1, _quad_quotient(alpha, k) * q1 + q2
-    return q1
-
-
 def cf_cycle(alpha: QuadraticAlpha) -> tuple[int, int]:
     """(preperiod length, period length) of a quadratic expansion."""
-    start, period, _q, _s, _d = _quad_cycle(alpha.p, alpha.d, alpha.q)
+    start, period, _floors = alpha._cycle
     return start, period
 
 

@@ -1,14 +1,15 @@
-"""Independent oracles for the library's exact sieve and Farey enumeration.
+"""Independent oracles for the library's exact sieve, Farey enumeration and
+quadratic expansions.
 
 Each one checks a definition directly, by a scan over every denominator or
-with plain ``Fraction`` arithmetic, with none of the library's integer keys,
-sweep or recurrence machinery.
+with plain ``Fraction`` and ``Quad`` arithmetic, with none of the library's
+integer keys, sweep or recurrence machinery.
 """
 
 import math
 from fractions import Fraction
 
-from dioph.arith import DEFAULT_PRECISION, DomainError
+from dioph.arith import DEFAULT_PRECISION, DomainError, Quad, _square_free_split
 from dioph.dioset import exclusion_radius, farey_sequence
 
 
@@ -123,3 +124,80 @@ def clipped_excluded_measure(lo, hi, gamma, tau, qmax, bits=DEFAULT_PRECISION) -
             if a < hi and b > lo:
                 clipped.append((max(a, lo), min(b, hi)))
     return union_open_measure(clipped)
+
+
+# ---------------------------------------------------------------------------
+# The quadratic expansion as it was before the alpha owned its states: a dict
+# of every state up to the first repeat, and the cycle floors walked in
+# ``Quad`` arithmetic.
+# ---------------------------------------------------------------------------
+
+def quad_cycle(p: int, d: int, q: int):
+    """Integer expansion states of (p + sqrt(d))/q.
+
+    Returns (preperiod, period, quotients, states, D) where `quotients` and
+    `states` cover indices 0 .. preperiod+period-1 and states[n] = (P_n, Q_n)
+    for the normalized radicand D, which is d or d*q^2 (states are for tail
+    values (P_n + sqrt(D)) / Q_n).
+    """
+    # normalize so that Q divides D - P^2
+    if (d - p * p) % q != 0:
+        p, d, q = p * abs(q), d * q * q, q * abs(q)
+    sqrt_floor = math.isqrt(d)
+    quotients: list[int] = []
+    states: list[tuple[int, int]] = []
+    seen: dict[tuple[int, int], int] = {}
+    pp, qq = p, q
+    while True:
+        state = (pp, qq)
+        if state in seen:
+            start = seen[state]
+            return start, len(quotients) - start, tuple(quotients), tuple(states), d
+        seen[state] = len(quotients)
+        states.append(state)
+        if qq > 0:
+            a = (pp + sqrt_floor) // qq
+        else:
+            a = _floor_neg_den(pp, qq, sqrt_floor)
+        quotients.append(a)
+        pp = a * qq - pp
+        qq = (d - pp * pp) // qq
+
+
+def _floor_neg_den(pp: int, qq: int, sqrt_floor: int) -> int:
+    # floor((pp + sqrt(d))/qq) with qq < 0: equals floor((-pp - sqrt(d))/(-qq));
+    # -sqrt(d) has integer part -(sqrt_floor+1) exactly (d non-square)
+    return (-pp - sqrt_floor - 1) // (-qq)
+
+
+def quad_quotient(alpha, n: int) -> int:
+    start, period, quotients, _states, _d = quad_cycle(alpha.p, alpha.d, alpha.q)
+    if n < len(quotients):
+        return quotients[n]
+    return quotients[start + (n - start) % period]
+
+
+def quad_tail(alpha, n: int) -> Quad:
+    start, period, _quotients, states, d = quad_cycle(alpha.p, alpha.d, alpha.q)
+    if n < len(states):
+        pp, qq = states[n]
+    else:
+        pp, qq = states[start + (n - start) % period]
+    # sqrt(D) = c*sqrt(k) in alpha's own field, times |q| when D = d*q^2
+    c, k = _square_free_split(alpha.d)
+    if d != alpha.d:
+        c *= abs(alpha.q)
+    return Quad(Fraction(pp, qq), Fraction(c, qq), k)
+
+
+def cycle_floors(alpha) -> tuple:
+    """min of 1/(alpha_{n+1} + 1/a_n) over one period of n: over every
+    n, over even n and over odd n, from one walk of the cycle."""
+    start, period, _quotients, _states, _d = quad_cycle(alpha.p, alpha.d, alpha.q)
+    floors: list = [None, None, None]
+    for n in range(start, start + period):
+        cand = 1 / (quad_tail(alpha, n + 1) + Fraction(1, quad_quotient(alpha, n)))
+        for k in (0, 1 + n % 2):
+            if floors[k] is None or cand < floors[k]:
+                floors[k] = cand
+    return tuple(floors)

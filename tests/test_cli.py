@@ -404,6 +404,15 @@ def test_set_runs_the_sieve_once(tmp_path, monkeypatch):
     assert len(sieves) == 1
 
 
+@pytest.mark.parametrize("fmt, brackets", [("json", 1), ("csv", 0), ("svg", 0)])
+def test_set_builds_the_bracket_only_for_json(tmp_path, monkeypatch, fmt, brackets):
+    # only the JSON prints the bracket's tail bound
+    calls = _counting(monkeypatch, dioset, "set_bracket")
+    assert run(["set", "--gamma", "1/10", "--tau", "9/2", "--qmax", "20", "--format", fmt,
+                "--out", str(tmp_path / f"s.{fmt}")]) == 0
+    assert len(calls) == brackets
+
+
 def test_alpha_ticks_walk_the_expansion_once(tmp_path, monkeypatch):
     expansions = _counting(monkeypatch, cli, "cf_expand")
     tables = _counting(monkeypatch, cli, "convergents")

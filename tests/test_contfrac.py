@@ -1,3 +1,6 @@
+import gc
+import sys
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +12,6 @@ from dioph.contfrac import (
     QuadraticAlpha,
     RationalAlpha,
     UndefinedTailError,
-    _quad_cycle,
     alpha_real,
     cf_cycle,
     cf_expand,
@@ -22,6 +24,7 @@ from dioph.contfrac import (
     value_of,
 )
 from tests.conftest import random_quadratic
+from tests.oracles import quad_cycle
 
 GOLDEN = QuadraticAlpha(-1, 5, 2)   # (sqrt5 - 1)/2
 SQRT2 = QuadraticAlpha(0, 2, 1)
@@ -202,11 +205,21 @@ def test_tail_and_value_match_surd_routing(rng):
     for _ in range(60):
         alpha = random_quadratic(rng)
         assert alpha.value() == surd(F(alpha.p, alpha.q), F(1, alpha.q), alpha.d)
-        _start, _period, _quotients, states, d = _quad_cycle(alpha.p, alpha.d, alpha.q)
+        _start, _period, _quotients, states, d = quad_cycle(alpha.p, alpha.d, alpha.q)
         for n, (pp, qq) in enumerate(states[:12]):
             assert tail(alpha, n, 64).exact == surd(F(pp, qq), F(1, qq), d)
 
 
-def test_quad_cycle_cache_is_bounded():
-    maxsize = _quad_cycle.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 256
+def test_quadratic_states_are_freed_with_the_alpha():
+    # the states live on the alpha, grown to the deepest index asked for, and
+    # no module-level cache keeps them once the alpha is gone
+    alpha = QuadraticAlpha(0, 33554959, 1)
+    cf_expand(alpha, 40)
+    assert cf_cycle(alpha) == (1, 16052)
+    states = alpha._states
+    assert len(states) == 40
+    ref = weakref.ref(alpha)
+    del alpha
+    gc.collect()
+    assert ref() is None
+    assert sys.getrefcount(states) <= 2  # the name here and the call's argument

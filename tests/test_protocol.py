@@ -6,6 +6,7 @@ the kind tests inside ``contfrac``.
 """
 
 import ast
+import functools
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -13,9 +14,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dioph
-from dioph import contfrac, quality
+from dioph import quality
 from dioph.contfrac import (
     PrefixAlpha,
+    QuadraticAlpha,
     RationalAlpha,
     cf_cycle,
     convergents,
@@ -113,21 +115,29 @@ def test_cycle_floors_equal_a_walk_per_bracket(alpha):
 
 def test_gamma_report_walks_the_cycle_once(monkeypatch):
     alpha = quadratic_from_periodic([0, 3, 1, 4], [1, 2, 3])
-    assert cf_cycle(alpha) == (4, 3)
-    calls = []
-    original = contfrac._quad_tail
+    walks, tails = [], []
+    walk, tail = QuadraticAlpha._cycle.func, QuadraticAlpha.tail
 
-    def counted(a, n):
-        calls.append(n)
-        return original(a, n)
+    def counted_walk(a):
+        walks.append(a)
+        return walk(a)
 
-    monkeypatch.setattr(contfrac, "_quad_tail", counted)
+    def counted_tail(a, n):
+        tails.append(n)
+        return tail(a, n)
+
+    cycle = functools.cached_property(counted_walk)
+    cycle.__set_name__(QuadraticAlpha, "_cycle")
+    monkeypatch.setattr(QuadraticAlpha, "_cycle", cycle)
+    monkeypatch.setattr(QuadraticAlpha, "tail", counted_tail)
     depth = 10
     quality._gamma_report(alpha, F(2), depth)
-    # one tail per row for the tail route, one per cycle position for the floors
-    assert len(calls) == (depth + 1) + 3
+    # one walk for the preperiod, period and floors; one tail per row, none
+    # for the floors
+    assert len(walks) == 1 and len(tails) == depth + 1
     quality.membership(alpha, F(1, 100), F(2), depth)
-    assert len(calls) == 2 * (depth + 1) + 3  # the floors are kept on the alpha
+    assert len(walks) == 1 and len(tails) == 2 * (depth + 1)  # the cycle is kept on the alpha
+    assert cf_cycle(alpha) == (4, 3)
 
 
 ALPHA_CLASSES = {"RationalAlpha", "QuadraticAlpha", "PrefixAlpha"}
