@@ -5,7 +5,7 @@ Library layout:
 * ``arith`` — rationals, quadratic surds, certified enclosures, comparisons;
 * ``contfrac`` — continued fractions, convergents, exact tails;
 * ``quality`` — quality rows, certified infimum brackets, membership;
-* ``dioset`` — exact truncated sets, measures, Farey enumeration;
+* ``dioset`` — exact truncated sets by one per-denominator sieve, measures;
 * ``topology`` — gap conditions, isolation diagnostics, window census;
 * ``bands`` — exceptional-gamma bands and series exponents;
 * ``cli`` — the ``dioph`` command-line front end.
@@ -36,14 +36,11 @@ from .contfrac import (
     one_minus,
     parse_alpha,
     quadratic_from_periodic,
-    tail,
     value_of,
 )
 from .dioset import (
     IntervalSet,
     SetBracket,
-    excluded_interval,
-    farey_sequence,
     fractions_in_interval,
     set_bracket,
     truncated_set,

@@ -47,7 +47,6 @@ from .arith import (
     DomainError,
     Quad,
     Real,
-    RealEnclosure,
     _floor_quad_int,
     _square_free_split,
     _surd_sign,
@@ -485,23 +484,11 @@ def _mobius_of_word(quotients: Sequence[int]) -> tuple[int, int, int, int]:
 # Tails
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailValue:
-    n: int
-    enclosure: RealEnclosure
-    exact: Optional[Union[Fraction, Quad]] = None
-
-
 def tail_real(alpha: AlphaSpec, n: int) -> Real:
     """The tail value alpha_n = [a_n; a_{n+1}, ...] as a certified real."""
     if n < 0:
         raise DomainError("tail index must be >= 0")
     return alpha.tail(n)
-
-
-def tail(alpha: AlphaSpec, n: int, precision_bits: int) -> TailValue:
-    r = tail_real(alpha, n)
-    return TailValue(n=n, enclosure=r.enclose(precision_bits), exact=r.exact)
 
 
 def alpha_real(alpha: AlphaSpec) -> Real:

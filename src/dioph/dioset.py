@@ -8,9 +8,10 @@ points p/q +- gamma/q^(tau+1) belong to the set; two excluded intervals that
 merely touch leave the shared endpoint behind as a degenerate member point.
 
 One sieve, :func:`sieve_window`, computes these unions on [0, 1] for ``set``,
-``sweep`` and :func:`set_bracket` and on a convergent window for the census.
-It sorts and merges integer keys of the endpoints and builds Fractions only
-for the endpoints it returns; measures are summed by denominator.
+``sweep`` and :func:`set_bracket` and on a convergent window for the census,
+from one radius per denominator and a scan of p for each q.  It merges integer
+keys of the endpoints; measures are summed by denominator.  The same scan
+lists the fractions of a window (:func:`fractions_in_interval`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .arith import (
     DEFAULT_PRECISION,
@@ -30,7 +31,6 @@ from .arith import (
     power_bounds,
     rat_sum_tail_bound,
 )
-from .contfrac import _rational_quotients
 
 
 # ---------------------------------------------------------------------------
@@ -153,103 +153,27 @@ def _open_complement(items: list[tuple], lo: Fraction, hi: Fraction, k: int) -> 
     return IntervalSet(tuple(pieces))
 
 
-def open_union_complement(excluded: Iterable[tuple[Fraction, Fraction]],
-                          domain: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
-                          ) -> IntervalSet:
-    """Complement of a union of OPEN intervals inside a closed domain."""
-    d_lo, d_hi = Fraction(domain[0]), Fraction(domain[1])
-    ends = [(Fraction(a), Fraction(b)) for a, b in excluded if b > a]
-    k = _key_bits([x.denominator for x in (d_lo, d_hi, *(x for pair in ends for x in pair))])
-    items = [((a.numerator << k) // a.denominator, (b.numerator << k) // b.denominator,
-              a.numerator, a.denominator, b.numerator, b.denominator) for a, b in ends]
-    return _open_complement(items, d_lo, d_hi, k)
-
-
 # ---------------------------------------------------------------------------
-# Farey / Stern-Brocot enumeration
+# Fractions in a window
 # ---------------------------------------------------------------------------
-
-def farey_sequence(n: int) -> Iterator[tuple[int, int]]:
-    """Reduced fractions p/q in [0, 1] with q <= n, in increasing order."""
-    if n < 1:
-        raise DomainError("Farey order must be >= 1")
-    a, b, c, d = 0, 1, 1, n
-    yield a, b
-    while c <= n:
-        k = (n + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-        yield a, b
-
-
-def farey_next(a: int, b: int, c: int, d: int, n: int) -> tuple[int, int]:
-    """Successor of c/d in F_n, given its immediate predecessor a/b."""
-    k = (n + b) // d
-    return k * c - a, k * d - b
-
-
-def _stern_brocot_pair(x: Fraction, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Consecutive fractions of F_n straddling x: a/b <= x <= c/d.
-
-    When x itself has denominator <= n both returned fractions equal x.
-    Uses the continued fraction of x: the last convergent within the
-    denominator cap and its largest admissible semiconvergent are
-    Farey-neighbours enclosing x.
-    """
-    if x < 0:
-        raise DomainError("Stern-Brocot walk defined for x >= 0")
-    if x.denominator <= n:
-        t = (x.numerator, x.denominator)
-        return t, t
-    h2, k2 = 0, 1   # convergent before the previous one
-    h1, k1 = 1, 0   # previous convergent
-    for a in _rational_quotients(x):
-        h, k = a * h1 + h2, a * k1 + k2
-        if k > n:
-            break
-        h2, k2, h1, k1 = h1, k1, h, k
-    t = (n - k2) // k1
-    semi = (t * h1 + h2, t * k1 + k2)
-    conv = (h1, k1)
-    if Fraction(*conv) < x:
-        return conv, semi
-    return semi, conv
-
-
-def _farey_predecessor(p: int, q: int, n: int) -> tuple[int, int]:
-    """Immediate predecessor of p/q in F_n (p/q reduced, q <= n)."""
-    if (p, q) == (0, 1):
-        return -1, 1  # sentinel below the domain; farey_next recovers 1/n
-    b0 = pow(p, -1, q)
-    b = b0 + ((n - b0) // q) * q
-    a = (p * b - 1) // q
-    return a, b
-
 
 def fractions_in_interval(lo: Fraction, hi: Fraction, max_den: int,
                           include_lo: bool = False, include_hi: bool = False
                           ) -> Iterator[tuple[int, int]]:
     """Reduced fractions with denominator <= max_den in (lo, hi) (endpoints
-    optional), in increasing order, via the Farey successor recurrence."""
+    optional), in increasing order, by a scan over q: O(max_den + count*log(count))."""
     if max_den < 1 or hi < lo:
         return
     lo, hi = Fraction(lo), Fraction(hi)
     if lo < 0:
         raise DomainError("enumeration expects lo >= 0")
-    (a, b), (c, d) = _stern_brocot_pair(lo, max_den)
-    if (a, b) == (c, d):
-        if include_lo and (lo < hi or include_hi):
-            yield (c, d)
-        pa, pb = _farey_predecessor(c, d, max_den)
-        nxt = farey_next(pa, pb, c, d, max_den)
-        a, b, (c, d) = c, d, nxt
-    # invariant: a/b is the F_n predecessor of c/d, and c/d > lo
-    while True:
-        val = Fraction(c, d)
-        if val > hi or (val == hi and not include_hi):
-            return
-        yield (c, d)
-        nxt = farey_next(a, b, c, d, max_den)
-        a, b, (c, d) = c, d, nxt
+    # a reduced p/q equals an endpoint only as that endpoint's own terms
+    drop = {x.as_integer_ratio() for x, inc in ((lo, include_lo), (hi, include_hi)) if not inc}
+    k = _key_bits([max_den])
+    for _key, p, q in sorted(((p << k) // q, p, q) for q in range(1, max_den + 1)
+                             for p in range(math.ceil(q * lo), math.floor(q * hi) + 1)
+                             if math.gcd(p, q) == 1 and (p, q) not in drop):
+        yield p, q
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +195,6 @@ def exclusion_radius(q: int, gamma: Fraction, tau: Fraction, rounding: str = "ex
     return gamma / (hi if rounding == "inner" else lo)
 
 
-def excluded_interval(p: int, q: int, gamma: Fraction, tau: Fraction,
-                      rounding: str = "exact", bits: int = DEFAULT_PRECISION
-                      ) -> tuple[Fraction, Fraction]:
-    """Open interval around p/q removed by the constraint at denominator q."""
-    if q < 1 or p < 0 or p > q or math.gcd(p, q) != 1:
-        raise DomainError(f"need a reduced fraction with 0 <= p <= q, got {p}/{q}")
-    gamma = Fraction(gamma)
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    r = exclusion_radius(q, gamma, tau, rounding, bits)
-    center = Fraction(p, q)
-    return center - r, center + r
-
-
 def truncated_set(gamma: Fraction, tau: Fraction, qmax: int,
                   bits: int = DEFAULT_PRECISION) -> IntervalSet:
     """[0,1] minus every exclusion interval with denominator <= qmax.
@@ -300,17 +210,16 @@ def truncated_set(gamma: Fraction, tau: Fraction, qmax: int,
         raise DomainError("tau must be >= 1")
     if qmax < 1:
         raise DomainError("Qmax must be >= 1")
-    return sieve_window(gamma, tau, qmax, Fraction(0), Fraction(1), "inner", bits)
+    radii = [exclusion_radius(q, gamma, tau, "inner", bits) for q in range(1, qmax + 1)]
+    return sieve_window(radii, Fraction(0), Fraction(1))
 
 
-def sieve_window(gamma: Fraction, tau: Fraction, qmax: int, lo: Fraction, hi: Fraction,
-                 rounding: str, bits: int) -> IntervalSet:
-    """Closure of [lo, hi] minus the open interval of radius gamma/q^(tau+1),
-    rounded as ``rounding``, around every reduced p/q with q <= qmax.  Per q,
-    only centers next to the window count (on [0, 1]: the Farey fractions), as
-    radii never grow with q: inside it, a center farther out covers no more
-    than a nearer one or its reduced form does."""
-    radii = [exclusion_radius(q, gamma, tau, rounding, bits) for q in range(1, qmax + 1)]
+def sieve_window(radii: Sequence[Fraction], lo: Fraction, hi: Fraction) -> IntervalSet:
+    """Closure of [lo, hi] minus the open interval of radius ``radii[q-1]``
+    around every reduced p/q with q <= len(radii).  Per q, only centers next
+    to the window count (on [0, 1]: the Farey fractions), as radii never grow
+    with q: inside it, a center farther out covers no more than a nearer one
+    or its reduced form does."""
     k = _key_bits([lo.denominator, hi.denominator]
                   + [q * r.denominator for q, r in enumerate(radii, 1)])
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator

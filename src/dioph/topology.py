@@ -10,6 +10,7 @@ which the exact integer path checks with zero tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -241,20 +242,27 @@ def census(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int, qmax: int,
         raise DomainError(f"cutoff {qmax} is below q_(n+2) = {q_n2}")
     e1, e2 = table.fraction(n), table.fraction(n + 2)
     lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
+    if lo < 0:
+        raise DomainError("enumeration expects lo >= 0")
     width = hi - lo
 
-    excluded_measure = width - sieve_window(gamma, tau, qmax, lo, hi, "outer", precision).measure
+    radii = [exclusion_radius(q, gamma, tau, "outer", precision) for q in range(1, qmax + 1)]
+    excluded_measure = width - sieve_window(radii, lo, hi).measure
 
     u1 = power_sum_tail(tau, qmax)
     u2 = power_sum_tail(tau + 1, qmax)
     u3 = power_sum_tail(2 * tau + 1, qmax)
     tail = 2 * gamma * (width * u1 + u2) + 4 * gamma * gamma * u3
 
-    c_n = None
-    for p, q in fractions_in_interval(lo, hi, q_n2 - 1, include_lo=True):
-        cand = Fraction(p, q) + exclusion_radius(q, gamma, tau, "outer", precision)
-        if c_n is None or cand > c_n:
-            c_n = cand
+    # c_n: max of p/q + r_q over reduced lo <= p/q < hi, q < q_{n+2}; per q, the top p
+    cands = []
+    for q in range(1, q_n2):
+        p = -(-q * hi.numerator // hi.denominator) - 1  # ceil(q*hi) - 1
+        while p * lo.denominator >= q * lo.numerator and math.gcd(p, q) != 1:
+            p -= 1
+        if p * lo.denominator >= q * lo.numerator:
+            cands.append(Fraction(p, q) + radii[q - 1])
+    c_n = max(cands, default=None)
 
     residual = width - excluded_measure - tail
     return CensusRecord(

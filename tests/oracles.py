@@ -1,16 +1,195 @@
-"""Independent oracles for the library's exact sieve, Farey enumeration and
-quadratic expansions.
+"""Independent oracles for the library's exact sieve, window enumeration,
+census and quadratic expansions, and helpers that only the tests use.
 
-Each one checks a definition directly, by a scan over every denominator or
-with plain ``Fraction`` and ``Quad`` arithmetic, with none of the library's
-integer keys, sweep or recurrence machinery.
+Each oracle checks a definition directly, by a scan over every denominator,
+by the Farey successor walk the library no longer uses, or with plain
+``Fraction`` and ``Quad`` arithmetic, with none of the library's integer
+keys, sweep or recurrence machinery.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator, Optional, Union
 
-from dioph.arith import DEFAULT_PRECISION, DomainError, Quad, _square_free_split
-from dioph.dioset import exclusion_radius, farey_sequence
+from dioph.arith import (
+    DEFAULT_PRECISION,
+    DomainError,
+    Quad,
+    RealEnclosure,
+    _square_free_split,
+    power_bounds,
+)
+from dioph.contfrac import AlphaSpec, _rational_quotients, convergents, tail_real
+from dioph.dioset import IntervalSet, _key_bits, _open_complement, exclusion_radius
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests use
+# ---------------------------------------------------------------------------
+
+def excluded_interval(p: int, q: int, gamma: Fraction, tau: Fraction,
+                      rounding: str = "exact", bits: int = DEFAULT_PRECISION
+                      ) -> tuple[Fraction, Fraction]:
+    """Open interval around p/q removed by the constraint at denominator q."""
+    if q < 1 or p < 0 or p > q or math.gcd(p, q) != 1:
+        raise DomainError(f"need a reduced fraction with 0 <= p <= q, got {p}/{q}")
+    gamma = Fraction(gamma)
+    if gamma <= 0:
+        raise DomainError("gamma must be positive")
+    r = exclusion_radius(q, gamma, tau, rounding, bits)
+    center = Fraction(p, q)
+    return center - r, center + r
+
+
+def open_union_complement(excluded: Iterable[tuple[Fraction, Fraction]],
+                          domain: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1)),
+                          ) -> IntervalSet:
+    """Complement of a union of OPEN intervals inside a closed domain, by the
+    library's integer-keyed merge."""
+    d_lo, d_hi = Fraction(domain[0]), Fraction(domain[1])
+    ends = [(Fraction(a), Fraction(b)) for a, b in excluded if b > a]
+    k = _key_bits([x.denominator for x in (d_lo, d_hi, *(x for pair in ends for x in pair))])
+    items = [((a.numerator << k) // a.denominator, (b.numerator << k) // b.denominator,
+              a.numerator, a.denominator, b.numerator, b.denominator) for a, b in ends]
+    return _open_complement(items, d_lo, d_hi, k)
+
+
+@dataclass(frozen=True)
+class TailValue:
+    n: int
+    enclosure: RealEnclosure
+    exact: Optional[Union[Fraction, Quad]] = None
+
+
+def tail(alpha: AlphaSpec, n: int, precision_bits: int) -> TailValue:
+    r = tail_real(alpha, n)
+    return TailValue(n=n, enclosure=r.enclose(precision_bits), exact=r.exact)
+
+
+# ---------------------------------------------------------------------------
+# Farey / Stern-Brocot enumeration, as the library had it before it moved to
+# one per-denominator scan
+# ---------------------------------------------------------------------------
+
+def farey_sequence(n: int) -> Iterator[tuple[int, int]]:
+    """Reduced fractions p/q in [0, 1] with q <= n, in increasing order."""
+    if n < 1:
+        raise DomainError("Farey order must be >= 1")
+    a, b, c, d = 0, 1, 1, n
+    yield a, b
+    while c <= n:
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+        yield a, b
+
+
+def farey_next(a: int, b: int, c: int, d: int, n: int) -> tuple[int, int]:
+    """Successor of c/d in F_n, given its immediate predecessor a/b."""
+    k = (n + b) // d
+    return k * c - a, k * d - b
+
+
+def _stern_brocot_pair(x: Fraction, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Consecutive fractions of F_n straddling x: a/b <= x <= c/d.
+
+    When x itself has denominator <= n both returned fractions equal x.
+    Uses the continued fraction of x: the last convergent within the
+    denominator cap and its largest admissible semiconvergent are
+    Farey-neighbours enclosing x.
+    """
+    if x < 0:
+        raise DomainError("Stern-Brocot walk defined for x >= 0")
+    if x.denominator <= n:
+        t = (x.numerator, x.denominator)
+        return t, t
+    h2, k2 = 0, 1   # convergent before the previous one
+    h1, k1 = 1, 0   # previous convergent
+    for a in _rational_quotients(x):
+        h, k = a * h1 + h2, a * k1 + k2
+        if k > n:
+            break
+        h2, k2, h1, k1 = h1, k1, h, k
+    t = (n - k2) // k1
+    semi = (t * h1 + h2, t * k1 + k2)
+    conv = (h1, k1)
+    if Fraction(*conv) < x:
+        return conv, semi
+    return semi, conv
+
+
+def _farey_predecessor(p: int, q: int, n: int) -> tuple[int, int]:
+    """Immediate predecessor of p/q in F_n (p/q reduced, q <= n)."""
+    if (p, q) == (0, 1):
+        return -1, 1  # sentinel below the domain; farey_next recovers 1/n
+    b0 = pow(p, -1, q)
+    b = b0 + ((n - b0) // q) * q
+    a = (p * b - 1) // q
+    return a, b
+
+
+def fractions_in_interval_walk(lo: Fraction, hi: Fraction, max_den: int,
+                               include_lo: bool = False, include_hi: bool = False
+                               ) -> Iterator[tuple[int, int]]:
+    """Reduced fractions with denominator <= max_den in (lo, hi) (endpoints
+    optional), in increasing order, via the Farey successor recurrence."""
+    if max_den < 1 or hi < lo:
+        return
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo < 0:
+        raise DomainError("enumeration expects lo >= 0")
+    (a, b), (c, d) = _stern_brocot_pair(lo, max_den)
+    if (a, b) == (c, d):
+        if include_lo and (lo < hi or include_hi):
+            yield (c, d)
+        pa, pb = _farey_predecessor(c, d, max_den)
+        nxt = farey_next(pa, pb, c, d, max_den)
+        a, b, (c, d) = c, d, nxt
+    # invariant: a/b is the F_n predecessor of c/d, and c/d > lo
+    while True:
+        val = Fraction(c, d)
+        if val > hi or (val == hi and not include_hi):
+            return
+        yield (c, d)
+        nxt = farey_next(a, b, c, d, max_den)
+        a, b, (c, d) = c, d, nxt
+
+
+def census_c_n(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
+               precision: int = DEFAULT_PRECISION) -> Optional[Fraction]:
+    """c_n of the census by one radius per window fraction: the largest
+    p/q + r_q over reduced lo <= p/q < hi with q < q_{n+2}."""
+    table = convergents(alpha.quotients_to(n + 3))
+    e1, e2 = table.fraction(n), table.fraction(n + 2)
+    lo, hi = min(e1, e2), max(e1, e2)
+    c_n = None
+    for p, q in fractions_in_interval_walk(lo, hi, table.denom(n + 2) - 1, include_lo=True):
+        cand = Fraction(p, q) + exclusion_radius(q, gamma, tau, "outer", precision)
+        if c_n is None or cand > c_n:
+            c_n = cand
+    return c_n
+
+
+def window_margin_rows(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
+                       max_den: Optional[int] = None, precision: int = DEFAULT_PRECISION
+                       ) -> list[tuple[int, int, Fraction]]:
+    """window_margin_table over the Farey walk, one radius per fraction."""
+    table = convergents(alpha.quotients_to(n + 3))
+    q_n2 = table.denom(n + 2)
+    cutoff = q_n2 - 1 if max_den is None else min(max_den, q_n2 - 1)
+    e_near, e_far = table.fraction(n), table.fraction(n + 2)
+    lo, hi = min(e_near, e_far), max(e_near, e_far)
+    margin = (exclusion_radius(q_n2, gamma, tau, "outer", precision)
+              + 2 * gamma / power_bounds(q_n2, tau - 1, precision)[0])
+    rows = []
+    for p, q in fractions_in_interval_walk(lo, hi, cutoff):
+        r = exclusion_radius(q, gamma, tau, "outer", precision)
+        if e_near <= e_far:
+            slack = (hi - margin) - (Fraction(p, q) + r)
+        else:
+            slack = (Fraction(p, q) - r) - (lo + margin)
+        rows.append((p, q, slack))
+    return rows
 
 
 def fractions_in_interval_bruteforce(lo: Fraction, hi: Fraction, max_den: int,

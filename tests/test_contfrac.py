@@ -20,11 +20,10 @@ from dioph.contfrac import (
     one_minus,
     parse_alpha,
     quadratic_from_periodic,
-    tail,
     value_of,
 )
 from tests.conftest import random_quadratic
-from tests.oracles import quad_cycle
+from tests.oracles import quad_cycle, tail
 
 GOLDEN = QuadraticAlpha(-1, 5, 2)   # (sqrt5 - 1)/2
 SQRT2 = QuadraticAlpha(0, 2, 1)

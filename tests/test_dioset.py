@@ -6,15 +6,19 @@ from dioph.arith import DomainError
 from dioph.dioset import (
     IntervalSet,
     exclusion_radius,
-    excluded_interval,
-    farey_sequence,
     fractions_in_interval,
-    open_union_complement,
     set_bracket,
     truncated_set,
 )
 from tests.conftest import random_rational
-from tests.oracles import direct_member, fractions_in_interval_bruteforce
+from tests.oracles import (
+    direct_member,
+    excluded_interval,
+    farey_sequence,
+    fractions_in_interval_bruteforce,
+    fractions_in_interval_walk,
+    open_union_complement,
+)
 
 
 def test_excluded_interval_examples():
@@ -159,14 +163,22 @@ def test_farey_sequence_small():
 
 
 def test_fractions_in_interval_matches_bruteforce(rng):
+    # two references: the scan over every denominator and the Farey walk
+    cases = []
     for _ in range(400):
         lo = F(rng.randint(0, 300), 301)
         hi = lo + F(rng.randint(0, 200), 507)
-        n = rng.randint(1, 35)
-        il, ih = rng.random() < 0.5, rng.random() < 0.5
+        cases.append((lo, hi, rng.randint(1, 35), rng.random() < 0.5, rng.random() < 0.5))
+    flags = [(il, ih) for il in (False, True) for ih in (False, True)]
+    cases += [(F(1, 3), F(2, 3), 0, il, ih) for il, ih in flags]      # max_den 0
+    cases += [(F(2, 3), F(1, 3), 9, il, ih) for il, ih in flags]      # hi < lo
+    cases += [(x, x, n, il, ih) for il, ih in flags                   # lo == hi
+              for x in (F(0), F(2, 5), F(1), F(3, 2), F(1, 7)) for n in (1, 5, 7)]
+    for lo, hi, n, il, ih in cases:
         got = list(fractions_in_interval(lo, hi, n, il, ih))
-        want = fractions_in_interval_bruteforce(lo, hi, n, il, ih)
-        assert got == want, (lo, hi, n, il, ih)
+        assert got == fractions_in_interval_bruteforce(lo, hi, n, il, ih), (lo, hi, n, il, ih)
+        assert got == list(fractions_in_interval_walk(lo, hi, n, il, ih)), (lo, hi, n, il, ih)
+    assert list(fractions_in_interval(F(2, 5), F(2, 5), 5, True, True)) == [(2, 5)]
 
 
 def test_interval_set_json_round_trip():

@@ -10,7 +10,6 @@ from dioph.contfrac import (
     cf_expand,
     convergents,
     one_minus,
-    tail,
 )
 from dioph.quality import (
     brute_force_gamma,
@@ -21,6 +20,7 @@ from dioph.quality import (
     tau_bounds,
 )
 from tests.conftest import random_quadratic
+from tests.oracles import tail
 
 GOLDEN = QuadraticAlpha(-1, 5, 2)       # (sqrt5 - 1)/2 = [0; 1, 1, 1, ...]
 SQRT2_UNIT = QuadraticAlpha(-1, 2, 1)   # sqrt(2) - 1 = [0; 2, 2, ...]

@@ -16,8 +16,6 @@ from dioph import dioset
 from dioph.dioset import (
     IntervalSet,
     exclusion_radius,
-    farey_sequence,
-    open_union_complement,
     set_bracket,
     sieve_window,
     truncated_set,
@@ -26,7 +24,9 @@ from dioph.topology import census
 from tests.oracles import (
     clipped_excluded_measure,
     direct_member,
+    farey_sequence,
     linear_measure,
+    open_union_complement,
     open_union_complement_pairs,
     truncated_set_pairs,
 )
@@ -38,6 +38,11 @@ fractional_taus = st.builds(F, st.integers(7, 25), st.sampled_from([2, 3, 4])).f
 taus = st.one_of(integer_taus, fractional_taus)
 # points of [-1/2, 3/2] on a grid fine enough to fall between Farey fractions
 points = st.builds(F, st.integers(-500, 1500), st.just(1000))
+
+
+def outer_radii(gamma, tau, qmax):
+    """The radii the census sieves with, rounded up, one per q <= qmax."""
+    return [exclusion_radius(q, gamma, tau, "outer", 256) for q in range(1, qmax + 1)]
 
 
 @settings(max_examples=60)
@@ -52,7 +57,7 @@ def test_sieve_matches_fraction_sieve(gamma, tau, qmax):
 @given(gamma=gammas, tau=taus, qmax=st.integers(1, 60), a=points, b=points)
 def test_window_sieve_matches_clipped_loop(gamma, tau, qmax, a, b):
     lo, hi = min(a, b), max(a, b)
-    s = sieve_window(gamma, tau, qmax, lo, hi, "outer", 256)
+    s = sieve_window(outer_radii(gamma, tau, qmax), lo, hi)
     excluded = clipped_excluded_measure(lo, hi, gamma, tau, qmax)
     assert (hi - lo) - s.measure == excluded
     assert s.measure == linear_measure(s.intervals)
@@ -89,7 +94,7 @@ def test_huge_gamma_enumerates_only_the_centers_next_to_the_window(monkeypatch, 
                         lambda items, *rest: counts.append(len(items)) or merge(items, *rest))
     gamma, qmax, lo, hi = F(10**9), 5, F(2, 7), F(5, 17)
     assert truncated_set(gamma, tau, qmax).intervals == truncated_set_pairs(gamma, tau, qmax)
-    assert sieve_window(gamma, tau, qmax, lo, hi, "outer", 256).is_empty
+    assert sieve_window(outer_radii(gamma, tau, qmax), lo, hi).is_empty
     near = [(p, q) for q in range(1, qmax + 1)
             for p in range(math.floor(q * lo), math.ceil(q * hi) + 1) if math.gcd(p, q) == 1]
     assert counts == [len(list(farey_sequence(qmax))), len(near)]
@@ -118,7 +123,7 @@ def test_set_bracket_is_sound(gamma, tau, qmax, more):
     # the exact set lies inside every deeper truncated set
     assert br.outer.measure - br.tail_measure_bound <= deeper.measure
     # radii rounded up leave less than the exact truncated set at qmax
-    rounded_up = sieve_window(gamma, tau, qmax, F(0), F(1), "outer", 256)
+    rounded_up = sieve_window(outer_radii(gamma, tau, qmax), F(0), F(1))
     assert br.outer.measure - rounded_up.measure <= br.tail_measure_bound
 
 

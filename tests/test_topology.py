@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dioph.arith import DomainError
+from dioph.arith import DomainError, is_square
 from dioph.bands import gamma_band
-from dioph import quality, topology
+from dioph import dioset, quality, topology
 from dioph.contfrac import (
     PrefixAlpha,
     QuadraticAlpha,
@@ -13,6 +15,7 @@ from dioph.contfrac import (
     cf_expand,
     convergents,
     one_minus,
+    parse_alpha,
     quadratic_from_periodic,
 )
 from dioph.dioset import truncated_set
@@ -30,6 +33,7 @@ from dioph.topology import (
     quotient_growth_table,
     window_margin_table,
 )
+from tests.oracles import census_c_n, window_margin_rows
 
 GOLDEN = QuadraticAlpha(-1, 5, 2)
 
@@ -327,6 +331,55 @@ def test_census_farey_and_legendre_oracles():
         if F(p, q) not in convergent_fracs:
             assert abs(v - F(p, q)) > F(1, 2 * q * q)
     assert count > 0
+
+
+@st.composite
+def alpha_specs(draw):
+    """quad:, rat: and cf: specs of numbers in (0, 1)."""
+    kind = draw(st.sampled_from(["quad", "rat", "cf"]))
+    if kind == "quad":
+        d = draw(st.integers(2, 500).filter(lambda d: not is_square(d)))
+        q = draw(st.sampled_from([1, 2, 3, 4, 5, -1, -2, -3]))
+        p = draw(st.integers(-30, 30))
+        p -= QuadraticAlpha(p, d, q).value().floor() * q
+        return f"quad:{p},{d},{q}"
+    if kind == "rat":
+        den = draw(st.integers(2, 400))
+        return f"rat:{draw(st.integers(1, den - 1))}/{den}"
+    quotients = draw(st.lists(st.integers(1, 20), min_size=2, max_size=8))
+    return f"cf:[0;{','.join(map(str, quotients))}]"
+
+
+@settings(max_examples=80)
+@given(spec=alpha_specs(), pick=st.integers(0, 5),
+       gamma=st.builds(F, st.integers(1, 60), st.integers(2, 400)),
+       tau=st.sampled_from([F(3), F(4), F(5, 2), F(7, 2)]),
+       extra=st.integers(0, 400), max_den=st.none() | st.integers(1, 400))
+def test_census_c_n_and_margins_match_the_per_fraction_scan(spec, pick, gamma, tau, extra,
+                                                            max_den):
+    alpha = parse_alpha(spec)
+    qs = alpha.quotients_to(8)
+    table = convergents(qs)
+    windows = [n for n in range(len(qs) - 2) if table.denom(n + 2) <= 400]
+    assume(windows)
+    n = windows[pick % len(windows)]
+    qmax = min(table.denom(n + 2) + extra, 400)
+    assert census(alpha, gamma, tau, n, qmax).c_n == census_c_n(alpha, gamma, tau, n)
+    assert window_margin_table(alpha, gamma, tau, n, max_den) == \
+        window_margin_rows(alpha, gamma, tau, n, max_den)
+
+
+def test_census_computes_one_radius_per_denominator(monkeypatch):
+    # the window sieve and c_n share one radius per q; a second radius per
+    # window fraction with q < q_{n+2} would show as extra calls
+    calls = []
+    bounds = dioset.power_bounds
+    monkeypatch.setattr(dioset, "power_bounds",
+                        lambda q, *rest: calls.append(q) or bounds(q, *rest))
+    qmax = 1200
+    rec = census(WINDOW_ALPHA, F(1, 10), F(4), WINDOW_N, qmax)
+    assert rec.c_n is not None
+    assert sorted(calls) == list(range(1, qmax + 1))
 
 
 def test_window_margin_table_positive_on_large_instance():
