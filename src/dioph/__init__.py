@@ -2,8 +2,10 @@
 
 Library layout:
 
-* ``arith`` — rationals, quadratic surds, certified enclosures, comparisons;
-* ``contfrac`` — continued fractions, convergents, exact tails;
+* ``arith`` — rationals, quadratic surds, certified enclosures, the one
+  exact order (``exact_cmp``) and certified comparisons;
+* ``contfrac`` — the three kinds of alpha (each gives its value, its
+  reflection 1 - alpha and its CLI spec), convergents, exact tails;
 * ``quality`` — quality rows, certified infimum brackets, membership;
 * ``dioset`` — exact truncated sets by one per-denominator sieve, measures;
 * ``topology`` — gap conditions, isolation diagnostics, window census;
@@ -20,7 +22,6 @@ from .arith import (
     cmp_certified,
     format_rat,
     parse_rat,
-    pow_real,
     rat_sum_tail_bound,
     surd,
 )
@@ -33,7 +34,6 @@ from .contfrac import (
     cf_cycle,
     cf_expand,
     convergents,
-    one_minus,
     parse_alpha,
     quadratic_from_periodic,
     value_of,

@@ -2,10 +2,10 @@
 
 All quantities in this package are either exact (``Fraction``, ``Quad``) or
 carried as a :class:`RealEnclosure`, a rational interval guaranteed to contain
-the exact real value and refinable to any precision.  Strict comparisons of
-possibly-irrational quantities go through :func:`cmp_certified`, which refines
-both sides on a doubling precision ladder and never reports an order it cannot
-prove.
+the exact real value and refinable to any precision.  :func:`exact_cmp` is the
+one order on exact values.  Comparisons of possibly-irrational quantities go
+through :func:`cmp_certified`, which refines both sides on a doubling
+precision ladder and never reports an order it cannot prove.
 """
 
 from __future__ import annotations
@@ -462,29 +462,26 @@ def surd(a: Fraction, b: Fraction, d: int) -> Union[Fraction, Quad]:
 ExactValue = Union[Fraction, Quad]
 
 
-def exact_sign(x: ExactValue) -> int:
-    if isinstance(x, Quad):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
-def exact_enclose(x: ExactValue, bits: int) -> RealEnclosure:
-    if isinstance(x, Quad):
-        return x.enclose(bits)
-    return enc_point(Fraction(x), bits)
-
-
 def exact_cmp(x: ExactValue, y: ExactValue) -> int:
-    """-1, 0 or 1 as x <, = or > y, for exact values in a common field."""
+    """-1, 0 or 1 as x <, = or > y, for any two exact values.
+
+    In a common field this is the exact sign of x - y.  Values of two
+    different fields are never equal (a + b*sqrt(d1) = c + e*sqrt(d2) with
+    b, e != 0 would make d1*d2 a square), so enclosures refined with doubling
+    bits become disjoint after finitely many steps.
+    """
     if isinstance(x, Quad):
         c = x._cmp(y)
     elif isinstance(y, Quad):
         c = y._cmp(x)
         c = None if c is None else -c
     else:
-        c = (x > y) - (x < y)
-    if c is None:
-        raise InternalConsistencyError(f"incomparable exact values {x!r} and {y!r}")
+        return (x > y) - (x < y)
+    bits = DEFAULT_BITS
+    while c is None:
+        ex, ey = x.enclose(bits), y.enclose(bits)
+        c = -1 if ex.hi < ey.lo else (1 if ey.hi < ex.lo else None)
+        bits *= 2
     return c
 
 
@@ -574,7 +571,7 @@ class Real:
     # -- arithmetic ----------------------------------------------------------
 
     def _binary(self, other, op, enc_op) -> "Real":
-        o = as_real(other)
+        o = Real.from_exact(other)
         if self.exact is not None and o.exact is not None:
             exact = _exact_binop(self.exact, o.exact, op)
             if exact is not None:
@@ -590,7 +587,7 @@ class Real:
         return self._binary(other, operator.sub, enc_sub)
 
     def __rsub__(self, other):
-        return as_real(other)._binary(self, operator.sub, enc_sub)
+        return Real.from_exact(other)._binary(self, operator.sub, enc_sub)
 
     def __mul__(self, other):
         return self._binary(other, operator.mul, enc_mul)
@@ -601,7 +598,7 @@ class Real:
         return self._binary(other, operator.truediv, enc_div)
 
     def __rtruediv__(self, other):
-        return as_real(other)._binary(self, operator.truediv, enc_div)
+        return Real.from_exact(other)._binary(self, operator.truediv, enc_div)
 
     def __neg__(self):
         if self.exact is not None:
@@ -617,26 +614,6 @@ class Real:
         if self.exact is not None:
             return f"Real({self.exact!r})"
         return f"Real({self.enclose(DEFAULT_BITS)})"
-
-
-def as_real(x) -> Real:
-    if isinstance(x, Real):
-        return x
-    return Real.from_exact(x)
-
-
-def pow_real(base: Fraction, exponent: Fraction, precision_bits: int) -> RealEnclosure:
-    """Enclosure of base**exponent with relative width <= 2^(1-precision_bits).
-
-    Integer exponents are exact (width 0).
-    """
-    if precision_bits < 8:
-        raise DomainError("precision_bits must be >= 8")
-    base = Fraction(base)
-    if base <= 0:
-        raise DomainError("pow_real base must be positive")
-    lo, hi = power_bounds(base, exponent, precision_bits)
-    return RealEnclosure(lo, hi, precision_bits)
 
 
 def power_bounds(base: RatLike, exponent: RatLike, bits: int) -> tuple[Fraction, Fraction]:
@@ -694,17 +671,13 @@ PROVEN_EQUAL = CmpVerdict("equal")
 def cmp_certified(a, b, max_precision_bits: int = PRECISION_CAP) -> CmpVerdict:
     """Compare two enclosure-producers, refining until the order is proven.
 
-    Equality is only ever reported from exact representations; enclosures can
-    prove strict order but never equality.
+    Two exact values are ordered by :func:`exact_cmp`, so never left
+    unresolved; otherwise equality is never reported, as enclosures can prove
+    strict order only.
     """
-    ra, rb = as_real(a), as_real(b)
+    ra, rb = Real.from_exact(a), Real.from_exact(b)
     if ra.exact is not None and rb.exact is not None:
-        diff = _exact_binop(ra.exact, rb.exact, operator.sub)
-        if diff is not None:
-            s = exact_sign(diff)
-            if s == 0:
-                return PROVEN_EQUAL
-            return LESS if s < 0 else GREATER
+        return (LESS, PROVEN_EQUAL, GREATER)[exact_cmp(ra.exact, rb.exact) + 1]
     bits_used = 0
     for bits in bit_ladder(max_precision_bits):
         bits_used = bits

@@ -21,12 +21,13 @@ from .arith import (
     Quad,
     Real,
     RealEnclosure,
-    exact_sign,
+    exact_cmp,
     power_bounds,
     power_sum_tail,
     surd,
     weighted_cmp,
 )
+from .topology import clearance
 
 TauLike = Union[Fraction, int, Quad]
 
@@ -67,12 +68,9 @@ def gamma_band(q: int, p: int, n_quot: int, tau: Fraction,
     if tau <= 1:
         raise DomainError("tau must exceed 1")
     s = n_quot * p + q
-    one = Fraction(1) - Fraction(q, s)
-    base = (Real.from_exact(Fraction(p)) / Real.power(Fraction(q), tau)
-            + Real.from_exact(Fraction(q * p)) / Real.power(Fraction(s), tau + 1))
-    extra = Real.from_exact(Fraction(2 * q * p)) / Real.power(Fraction(s), tau - 1)
-    lo = Real.from_exact(one) / (base + extra)
-    hi = Real.from_exact(one) / base
+    one = Real.from_exact(Fraction(1) - Fraction(q, s))
+    lo = one / clearance(q, p, s, tau, strict=True)
+    hi = one / clearance(q, p, s, tau, strict=False)
     wb = (Real.from_exact(Fraction(2)) * Real.power(Fraction(q), 2 * tau + 1)
           / (Real.from_exact(Fraction(p)) * Real.power(Fraction(s), tau - 1)))
     wb_enc = wb.enclose(precision)
@@ -114,12 +112,6 @@ def series_exponents(tau: TauLike) -> tuple[TauLike, TauLike]:
     return band, pinch
 
 
-def _exceeds_one(x: TauLike) -> bool:
-    if isinstance(x, Quad):
-        return exact_sign(x - 1) > 0
-    return Fraction(x) > 1
-
-
 def exponents(tau: TauLike, checkpoints: Sequence[int] = (),
               precision: int = 64) -> SeriesReport:
     """Series report for the two controlling exponents at a given tau.
@@ -148,8 +140,8 @@ def exponents(tau: TauLike, checkpoints: Sequence[int] = (),
         tau=tau if isinstance(tau, Quad) else Fraction(tau),
         band_exponent=band,
         pinch_exponent=pinch,
-        band_converges=_exceeds_one(band),
-        pinch_converges=_exceeds_one(pinch),
+        band_converges=exact_cmp(band, 1) > 0,
+        pinch_converges=exact_cmp(pinch, 1) > 0,
         partial_sums=tuple(sums),
     )
 
@@ -173,7 +165,7 @@ def _n_sum_with_tail(tau: Fraction, n_max: int, precision: int) -> Fraction:
     total = Fraction(0)
     for n in range(1, n_max + 1):
         total += 1 / power_bounds(n, tau - 1, precision)[0]
-    return total + 1 / (power_bounds(n_max, tau - 2, precision)[0] * (tau - 2))
+    return total + power_sum_tail(tau - 1, n_max, precision)
 
 
 def _p_floor(q: int, tau: Fraction, c2: Fraction, precision: int) -> int:
@@ -207,8 +199,7 @@ def bands_union_measure(tau: Fraction, c1: Fraction, c2: Fraction, m: int,
         p0 = _p_floor(q, tau, c2, precision)
         if p0 < 1:
             raise DomainError("empty p-range; increase q or decrease C2")
-        # sum_{p > p0} p^-tau <= p0^(1-tau)/(tau-1)
-        p_tail = 1 / (power_bounds(p0, tau - 1, precision)[0] * (tau - 1))
+        p_tail = power_sum_tail(tau, p0, precision)  # >= sum_{p > p0} p^-tau
         q_pow = power_bounds(q, 2 * tau + 1, precision)[1]
         total += 2 * q_pow * n_sum * p_tail
     return total

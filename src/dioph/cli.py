@@ -39,11 +39,9 @@ from .arith import (
     parse_rat,
 )
 from .contfrac import (
-    alpha_real,
     cf_cycle,
     cf_expand,
     convergents,
-    format_alpha,
     parse_alpha,
 )
 from .quality import _gamma_report
@@ -143,9 +141,9 @@ def _cmd_cf(args) -> tuple[str, int]:
     pre = per = None
     if alpha.length is None:
         pre, per = cf_cycle(alpha)
-    enc = alpha_real(alpha).enclose(args.prec)
+    enc = alpha.real().enclose(args.prec)
     payload = {
-        "alpha": format_alpha(alpha),
+        "alpha": alpha.spec(),
         "quotients": quotients,
         "preperiod": pre,
         "period": per,
@@ -180,7 +178,7 @@ def _cmd_gamma(args) -> tuple[str, int]:
     rows = [{"n": row.n, "q": row.q, "p": row.p, "enclosure": _enc_obj(row.enclosure)}
             for row in quality_rows]
     payload = {
-        "alpha": format_alpha(alpha),
+        "alpha": alpha.spec(),
         "tau": format_rat(tau),
         "gamma": _gamma_result_obj(res),
         "gamma_even": _gamma_result_obj(even),
@@ -195,7 +193,7 @@ def _cmd_member(args) -> tuple[str, int]:
     verdict = quality.membership(alpha, parse_rat(args.gamma), parse_rat(args.tau),
                                  args.budget, args.prec)
     payload = {
-        "alpha": format_alpha(alpha),
+        "alpha": alpha.spec(),
         "gamma": args.gamma,
         "tau": args.tau,
         "verdict": verdict.kind,
@@ -247,7 +245,7 @@ def _cmd_census(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
     rec = topology.census(alpha, parse_rat(args.gamma), parse_rat(args.tau),
                           args.n, args.qmax, args.prec)
-    payload = {"alpha": format_alpha(alpha)}
+    payload = {"alpha": alpha.spec()}
     payload.update(topology.census_obj(rec))
     return _json(payload), 0
 
@@ -267,7 +265,7 @@ def _cmd_gaps(args) -> tuple[str, int]:
         lines += [f"{r.n},{r.a_actual},{r.gap},{r.gap_strict}" for r in reports]
         return "\n".join(lines) + "\n", code
     payload = {
-        "alpha": format_alpha(alpha),
+        "alpha": alpha.spec(),
         "gamma": format_rat(gamma),
         "tau": format_rat(tau),
         "reports": [topology.gap_report_obj(r) for r in reports],

@@ -360,10 +360,6 @@ def parse_alpha(text: str) -> AlphaSpec:
     raise DomainError(f"unknown alpha spec {text!r} (use rat:, quad:, cf:)")
 
 
-def format_alpha(alpha: AlphaSpec) -> str:
-    return alpha.spec()
-
-
 # ---------------------------------------------------------------------------
 # Expansion machinery
 # ---------------------------------------------------------------------------
@@ -491,13 +487,8 @@ def tail_real(alpha: AlphaSpec, n: int) -> Real:
     return alpha.tail(n)
 
 
-def alpha_real(alpha: AlphaSpec) -> Real:
-    """The number alpha itself as a certified real."""
-    return alpha.real()
-
-
 # ---------------------------------------------------------------------------
-# Constructors and symmetry
+# Constructors
 # ---------------------------------------------------------------------------
 
 def quadratic_from_periodic(prefix: Sequence[int], cycle: Sequence[int]) -> QuadraticAlpha:
@@ -534,8 +525,3 @@ def quadratic_from_periodic(prefix: Sequence[int], cycle: Sequence[int]) -> Quad
     if g > 1 and (d_final % (g * g)) == 0:
         x, z, d_final = x // g, z // g, d_final // (g * g)
     return QuadraticAlpha(x, d_final, z)
-
-
-def one_minus(alpha: AlphaSpec) -> AlphaSpec:
-    """The reflection 1 - alpha, preserving the representation kind."""
-    return alpha.reflect()

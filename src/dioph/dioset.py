@@ -165,8 +165,6 @@ def fractions_in_interval(lo: Fraction, hi: Fraction, max_den: int,
     if max_den < 1 or hi < lo:
         return
     lo, hi = Fraction(lo), Fraction(hi)
-    if lo < 0:
-        raise DomainError("enumeration expects lo >= 0")
     # a reduced p/q equals an endpoint only as that endpoint's own terms
     drop = {x.as_integer_ratio() for x, inc in ((lo, include_lo), (hi, include_hi)) if not inc}
     k = _key_bits([max_den])

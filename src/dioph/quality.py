@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .arith import (
     DEFAULT_PRECISION,
     DomainError,
+    ExactValue,
     InternalConsistencyError,
     Quad,
     Real,
@@ -26,7 +27,7 @@ from .arith import (
     _surd_sign,
     enc_intersect,
     exact_cmp,
-    exact_enclose,
+    power_bounds,
     surd,
     weighted_cmp,
 )
@@ -35,12 +36,9 @@ from .contfrac import (
     ConvergentTable,
     QuadraticAlpha,
     RationalAlpha,
-    alpha_real,
     convergents,
     tail_real,
 )
-
-ExactValue = Union[Fraction, Quad]
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ def _row_reals(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int
     final row of a terminating expansion)."""
     qn, pn = table.denom(n), table.numer(n)
     pow_tau = Real.power(Fraction(qn), tau)
-    direct = pow_tau * abs(alpha_real(alpha) * qn - pn)
+    direct = pow_tau * abs(alpha.real() * qn - pn)
     if alpha.length is not None and n + 1 >= alpha.length:
         return direct, None
     t_next = tail_real(alpha, n + 1)
@@ -191,12 +189,9 @@ def _tail_lower(g: _GammaRows, parity: Optional[int]) -> Optional[Real]:
 def _reduce_rows(rows: list[QualityRow], tail_bound: Optional[Real],
                  precision: int, depth_used: int) -> GammaResult:
     if all(r.exact is not None for r in rows):
-        vmin = rows[0].exact
-        for r in rows[1:]:
-            if exact_cmp(r.exact, vmin) < 0:
-                vmin = r.exact
+        vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
         argmin = tuple(r.n for r in rows if r.exact == vmin)
-        enc = exact_enclose(vmin, precision)
+        enc = Real.from_exact(vmin).enclose(precision)
         min_lo, upper = enc.lo, enc.hi
     else:
         upper = min(r.enclosure.hi for r in rows)
@@ -339,15 +334,15 @@ def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
         value = Real.power(Fraction(best_q), tau) * best
         return value.enclose(precision), best_q
     # interval path (prefix alphas, fractional tau on quadratics)
-    a_enc = alpha_real(alpha).enclose(precision)
+    a_enc = alpha.real().enclose(precision)
     if a_enc.lo is None or a_enc.hi is None:
         raise DomainError("alpha enclosure must be bounded for brute force")
     best_hi: Optional[Fraction] = None
     per_q: list[tuple[Fraction, Fraction]] = []
     for q in range(1, qmax + 1):
         dmin, dmax = _dist_interval(q * a_enc.lo, q * a_enc.hi)
-        pw = Real.power(Fraction(q), tau).enclose(precision)
-        vlo, vhi = pw.lo * dmin, pw.hi * dmax
+        pw_lo, pw_hi = power_bounds(q, tau, precision)
+        vlo, vhi = pw_lo * dmin, pw_hi * dmax
         per_q.append((vlo, vhi))
         if best_hi is None or vhi < best_hi:
             best_hi = vhi
@@ -361,7 +356,7 @@ def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
 # ---------------------------------------------------------------------------
 
 def _check_unit_interval(alpha: AlphaSpec) -> None:
-    r = alpha_real(alpha)
+    r = alpha.real()
     if r.exact is not None:
         x = r.exact
         in_range = exact_cmp(x, Fraction(0)) > 0 and exact_cmp(x, Fraction(1)) < 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional
 
 from .arith import (
@@ -74,6 +75,20 @@ def check_gap_strict(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
     return _gap_verdict(_table_to(alpha, n + 2), n, gamma, tau, True, precision)
 
 
+def clearance(q: int, p: int, s: int, tau: Fraction, strict: bool) -> Real:
+    """p/q^tau + q*p/s^(tau+1), plus 2*q*p/s^(tau-1) when strict, for
+    (q, p, s) playing (q_n, q_{n+1}, q_{n+2}); exact for integer tau.
+
+    1/gamma minus it is the bracket of the gap thresholds, and (1 - q/s) over
+    it is an end of a gamma band.
+    """
+    c = (Real.from_exact(Fraction(p)) / Real.power(Fraction(q), tau)
+         + Real.from_exact(Fraction(q * p)) / Real.power(Fraction(s), tau + 1))
+    if strict:
+        c = c + Real.from_exact(Fraction(2 * q * p)) / Real.power(Fraction(s), tau - 1)
+    return c
+
+
 def _threshold(q_n: int, q_n1: int, q_n2: int, gamma: Fraction, tau: Fraction,
                strict: bool, precision: int) -> RealEnclosure:
     gamma, tau = Fraction(gamma), Fraction(tau)
@@ -81,11 +96,7 @@ def _threshold(q_n: int, q_n1: int, q_n2: int, gamma: Fraction, tau: Fraction,
         raise DomainError("denominators must be positive")
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    bracket = (Real.from_exact(1 / gamma)
-               - Real.from_exact(Fraction(q_n1)) / Real.power(Fraction(q_n), tau)
-               - Real.from_exact(Fraction(q_n * q_n1)) / Real.power(Fraction(q_n2), tau + 1))
-    if strict:
-        bracket = bracket - Real.from_exact(Fraction(2 * q_n * q_n1)) / Real.power(Fraction(q_n2), tau - 1)
+    bracket = Real.from_exact(1 / gamma) - clearance(q_n, q_n1, q_n2, tau, strict)
     sign = cmp_certified(bracket, Fraction(0), precision)
     if not sign.is_greater:
         raise DomainError(
@@ -182,10 +193,7 @@ def detect_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
 
     attained_known = all(r.exact is not None for r in rows)
     if attained_known:
-        vmin = rows[0].exact
-        for r in rows[1:]:
-            if exact_cmp(r.exact, vmin) < 0:
-                vmin = r.exact
+        vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
         if not alpha.terminates:  # a finite expansion's minimum is its infimum
             # deeper rows all exceed the bound strictly; the infimum is attained
             # among the computed rows when the minimum does not exceed the bound
@@ -242,8 +250,6 @@ def census(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int, qmax: int,
         raise DomainError(f"cutoff {qmax} is below q_(n+2) = {q_n2}")
     e1, e2 = table.fraction(n), table.fraction(n + 2)
     lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
-    if lo < 0:
-        raise DomainError("enumeration expects lo >= 0")
     width = hi - lo
 
     radii = [exclusion_radius(q, gamma, tau, "outer", precision) for q in range(1, qmax + 1)]

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dioph.arith as arith
 from dioph.arith import (
     DomainError,
-    InternalConsistencyError,
     Quad,
     Real,
     cmp_certified,
@@ -17,7 +18,7 @@ from dioph.arith import (
     format_rat,
     iroot,
     parse_rat,
-    pow_real,
+    power_bounds,
     power_sum_tail,
     rat_sum_tail_bound,
     surd,
@@ -54,39 +55,32 @@ def test_iroot_exact():
 
 
 def test_pow_real_integer_exponent_exact():
-    e = pow_real(F(2), F(4), 64)
-    assert (e.lo, e.hi) == (F(16), F(16))
-    e = pow_real(F(3, 2), F(-2), 64)
-    assert e.lo == e.hi == F(4, 9)
+    assert power_bounds(F(2), F(4), 64) == (F(16), F(16))
+    assert power_bounds(F(3, 2), F(-2), 64) == (F(4, 9), F(4, 9))
 
 
 def test_pow_real_half_integer_against_isqrt_oracle():
     # oracle: 2^(7/2) = 8*sqrt(2); sqrt(2) bracketed by scaled isqrt
-    e = pow_real(F(2), F(7, 2), 64)
+    lo, hi = power_bounds(F(2), F(7, 2), 64)
     scale = 10**30
     s = math.isqrt(2 * scale * scale)
     lo_oracle = F(8 * s, scale)
     hi_oracle = F(8 * (s + 1), scale)
-    assert e.lo <= hi_oracle and lo_oracle <= e.hi
-    assert e.width <= F(2) ** (1 - 64) * e.hi
+    assert lo <= hi_oracle and lo_oracle <= hi
+    assert hi - lo <= F(2) ** (1 - 64) * hi
 
 
 def test_pow_real_base_one_and_perfect_powers():
-    e = pow_real(F(1), F(355, 113), 64)
-    assert (e.lo, e.hi) == (F(1), F(1))
-    e = pow_real(F(4), F(1, 2), 64)
-    assert (e.lo, e.hi) == (F(2), F(2))
-    e = pow_real(F(27, 8), F(2, 3), 64)
-    assert (e.lo, e.hi) == (F(9, 4), F(9, 4))
+    assert power_bounds(F(1), F(355, 113), 64) == (F(1), F(1))
+    assert power_bounds(F(4), F(1, 2), 64) == (F(2), F(2))
+    assert power_bounds(F(27, 8), F(2, 3), 64) == (F(9, 4), F(9, 4))
 
 
 def test_pow_real_domain_errors():
     with pytest.raises(DomainError):
-        pow_real(F(0), F(1, 2), 64)
+        power_bounds(F(0), F(1, 2), 64)
     with pytest.raises(DomainError):
-        pow_real(F(-2), F(2), 64)
-    with pytest.raises(DomainError):
-        pow_real(F(2), F(1, 2), 4)
+        power_bounds(F(-2), F(2), 64)
 
 
 def test_enclosure_monotone_refinement():
@@ -196,16 +190,45 @@ def _rand_rat(rng):
     return F(rng.randint(-12, 12), rng.randint(1, 9))
 
 
-def test_exact_cmp_matches_enclosures_and_rejects_distinct_fields(rng):
+KIND_SIGN = {"less": -1, "equal": 0, "greater": 1}
+
+
+def test_exact_cmp_matches_enclosures_and_orders_distinct_fields(rng):
     for _ in range(200):
         d = rng.choice([2, 3, 5, 8, 12])
         x = surd(_rand_rat(rng), _rand_rat(rng), d)
         y = rng.choice([_rand_rat(rng), surd(_rand_rat(rng), _rand_rat(rng), d)])
         c = exact_cmp(x, y)
-        assert c == {"less": -1, "equal": 0, "greater": 1}[cmp_certified(x, y).kind]
+        assert c == KIND_SIGN[cmp_certified(x, y).kind]
         assert exact_cmp(y, x) == -c
-    with pytest.raises(InternalConsistencyError):
-        exact_cmp(surd(F(0), F(1), 2), surd(F(0), F(1), 3))
+    assert exact_cmp(surd(F(0), F(1), 2), surd(F(0), F(1), 3)) == -1
+
+
+small_rats = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+nonzero_rats = small_rats.filter(bool)
+# distinct square-free kernels: their product is never a square
+kernel_pairs = st.lists(st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 4099]),
+                        min_size=2, max_size=2, unique=True)
+
+
+@given(kernel_pairs, st.sampled_from([1, 3, BIG_PRIME]), small_rats, nonzero_rats,
+       nonzero_rats, st.integers(0, 60))
+def test_exact_cmp_orders_distinct_fields_by_refinement(ds, k, a, b, e, shift):
+    """y = c + e*sqrt(d2) is placed within about 2^-shift of x, so a larger
+    shift needs a deeper refinement; x may carry an unreduced radicand."""
+    d1, d2 = ds
+    x = Quad(a, b, d1 * k * k)
+    c = x.enclose(shift).lo - Quad(F(0), e, d2).enclose(shift).lo
+    y = surd(c, e, d2)
+    bits = 8
+    while True:
+        ex, ey = x.enclose(bits), y.enclose(bits)
+        if ex.hi < ey.lo or ey.hi < ex.lo:
+            want = -1 if ex.hi < ey.lo else 1
+            break
+        bits *= 2
+    assert exact_cmp(x, y) == want == -exact_cmp(y, x)
+    assert KIND_SIGN[cmp_certified(x, y).kind] == want
 
 
 # radicands grouped by the square-free kernel of their field

@@ -12,12 +12,9 @@ from dioph.contfrac import (
     QuadraticAlpha,
     RationalAlpha,
     UndefinedTailError,
-    alpha_real,
     cf_cycle,
     cf_expand,
     convergents,
-    format_alpha,
-    one_minus,
     parse_alpha,
     quadratic_from_periodic,
     value_of,
@@ -143,7 +140,7 @@ def test_best_approximation_sandwich(rng):
 
 def test_parse_format_alpha():
     for text in ("rat:7/10", "quad:-1,5,2", "cf:[0;1,2,3]", "cf:[3]"):
-        assert format_alpha(parse_alpha(text)) == text
+        assert parse_alpha(text).spec() == text
     assert parse_alpha("rat:0.25") == RationalAlpha(F(1, 4))
     for bad in ("x:1", "quad:1,2", "cf:[0;1,]", "cf:0;1", "rat:a"):
         with pytest.raises(DomainError):
@@ -170,13 +167,13 @@ def test_quadratic_from_periodic_matches_expansion(rng):
 
 
 def test_one_minus_quadratic_and_prefix():
-    g1 = one_minus(GOLDEN)
-    assert alpha_real(g1).exact + alpha_real(GOLDEN).exact == 1
+    g1 = GOLDEN.reflect()
+    assert g1.real().exact + GOLDEN.real().exact == 1
     assert cf_expand(g1, 7) == [0, 2, 1, 1, 1, 1, 1]
     a = PrefixAlpha((0, 2, 3, 4))
-    b = one_minus(a)
+    b = a.reflect()
     assert b.quotients == (0, 1, 1, 3, 4)
-    c = one_minus(PrefixAlpha((0, 1, 5, 2)))
+    c = PrefixAlpha((0, 1, 5, 2)).reflect()
     assert c.quotients == (0, 6, 2)
     # reflection shifts the denominator sequence by one index (swapping the
     # parity classes): here alpha = [0;1,...] so q_n(1-alpha) = q_{n+1}(alpha)
@@ -185,7 +182,7 @@ def test_one_minus_quadratic_and_prefix():
     for n in range(1, 9):
         assert tb.denom(n) == ta.denom(n + 1)
     # and for a leading quotient >= 2 the shift goes the other way
-    s2 = one_minus(SQRT2_UNIT)
+    s2 = SQRT2_UNIT.reflect()
     ts = convergents(cf_expand(SQRT2_UNIT, 9))
     t2 = convergents(cf_expand(s2, 10))
     for n in range(1, 9):
@@ -194,7 +191,7 @@ def test_one_minus_quadratic_and_prefix():
 
 def test_alpha_real_prefix_interval():
     a = PrefixAlpha((0, 2, 2))
-    enc = alpha_real(a).enclose(64)
+    enc = a.real().enclose(64)
     assert (enc.lo, enc.hi) == (F(2, 5), F(3, 7))
 
 

@@ -169,6 +169,9 @@ def test_fractions_in_interval_matches_bruteforce(rng):
         lo = F(rng.randint(0, 300), 301)
         hi = lo + F(rng.randint(0, 200), 507)
         cases.append((lo, hi, rng.randint(1, 35), rng.random() < 0.5, rng.random() < 0.5))
+    # half of them moved below 0 or across it
+    cases += [(lo - rng.randint(1, 2), hi - 1, min(n, 25), il, ih)
+              for lo, hi, n, il, ih in cases[:200]]
     flags = [(il, ih) for il in (False, True) for ih in (False, True)]
     cases += [(F(1, 3), F(2, 3), 0, il, ih) for il, ih in flags]      # max_den 0
     cases += [(F(2, 3), F(1, 3), 9, il, ih) for il, ih in flags]      # hi < lo
@@ -177,7 +180,8 @@ def test_fractions_in_interval_matches_bruteforce(rng):
     for lo, hi, n, il, ih in cases:
         got = list(fractions_in_interval(lo, hi, n, il, ih))
         assert got == fractions_in_interval_bruteforce(lo, hi, n, il, ih), (lo, hi, n, il, ih)
-        assert got == list(fractions_in_interval_walk(lo, hi, n, il, ih)), (lo, hi, n, il, ih)
+        if lo >= 0:  # the walk enumerates from 0 upward
+            assert got == list(fractions_in_interval_walk(lo, hi, n, il, ih)), (lo, hi, n, il, ih)
     assert list(fractions_in_interval(F(2, 5), F(2, 5), 5, True, True)) == [(2, 5)]
 
 

@@ -172,3 +172,21 @@ def test_kind_tests_stay_in_contfrac():
                     and id(node) not in allowed):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_public_function_only_forwards_to_a_method_of_its_argument():
+    """A public function whose body (past its docstring) is only
+    ``return <first parameter>.<method>(...)`` adds a name and no logic."""
+    found = []
+    for path in sorted(Path(dioph.__file__).parent.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_") or not fn.args.args:
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            ret = body[0] if len(body) == 1 else None
+            if (isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call)
+                    and isinstance(ret.value.func, ast.Attribute)
+                    and isinstance(ret.value.func.value, ast.Name)
+                    and ret.value.func.value.id == fn.args.args[0].arg):
+                found.append(f"{path.name}:{fn.name}")
+    assert found == []

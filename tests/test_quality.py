@@ -9,7 +9,6 @@ from dioph.contfrac import (
     RationalAlpha,
     cf_expand,
     convergents,
-    one_minus,
 )
 from dioph.quality import (
     brute_force_gamma,
@@ -131,7 +130,7 @@ def test_gamma_parity_structure_golden():
 
 def test_gamma_parity_swaps_under_reflection():
     # row values of 1-alpha coincide with the parity-swapped rows of alpha
-    g1 = one_minus(GOLDEN)
+    g1 = GOLDEN.reflect()
     for n in range(1, 8):
         assert gamma_n(g1, F(1), n).exact == gamma_n(GOLDEN, F(1), n + 1).exact
 
@@ -192,7 +191,7 @@ def test_membership_rational_and_domain():
 def test_membership_symmetry_under_reflection(rng):
     for _ in range(8):
         alpha = random_quadratic(rng)
-        mirrored = one_minus(alpha)
+        mirrored = alpha.reflect()
         for gamma in (F(1, 10), F(1, 4), F(2, 5)):
             a = membership(alpha, gamma, F(1), 25)
             b = membership(mirrored, gamma, F(1), 25)

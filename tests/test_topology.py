@@ -14,7 +14,6 @@ from dioph.contfrac import (
     cf_cycle,
     cf_expand,
     convergents,
-    one_minus,
     parse_alpha,
     quadratic_from_periodic,
 )
@@ -33,6 +32,7 @@ from dioph.topology import (
     quotient_growth_table,
     window_margin_table,
 )
+from tests.conftest import random_quadratic
 from tests.oracles import census_c_n, window_margin_rows
 
 GOLDEN = QuadraticAlpha(-1, 5, 2)
@@ -276,7 +276,7 @@ def test_detect_isolation_reflection_parity(rng):
     # reflection swaps the parity classes: the golden minimum moves from the
     # odd row 1 (value 1 - alpha) to the even row 0 (value {1 - alpha})
     rep_a = detect_isolation(GOLDEN, F(3, 8), F(1), depth=20)
-    rep_b = detect_isolation(one_minus(GOLDEN), F(3, 8), F(1), depth=20)
+    rep_b = detect_isolation(GOLDEN.reflect(), F(3, 8), F(1), depth=20)
     assert rep_b.member is True
     assert rep_a.attained_minima == (1,)
     assert rep_b.attained_minima == (0,)
@@ -367,6 +367,30 @@ def test_census_c_n_and_margins_match_the_per_fraction_scan(spec, pick, gamma, t
     assert census(alpha, gamma, tau, n, qmax).c_n == census_c_n(alpha, gamma, tau, n)
     assert window_margin_table(alpha, gamma, tau, n, max_den) == \
         window_margin_rows(alpha, gamma, tau, n, max_den)
+
+
+def test_census_commutes_with_integer_shifts(rng):
+    # p/q -> p/q - k maps the reduced fractions and their radii onto
+    # themselves, so census(alpha - k) is census(alpha) moved by -k, also for
+    # windows below 0
+    gamma = F(1, 10)
+    for _ in range(4):
+        alpha = random_quadratic(rng)
+        table = convergents(cf_expand(alpha, 6))
+        windows = [n for n in range(4) if table.denom(n + 2) <= 200]  # kept small for speed
+        for k in (1, 2, 5):
+            shifted = QuadraticAlpha(alpha.p - k * alpha.q, alpha.d, alpha.q)
+            for tau in (F(4), F(7, 2)):
+                for n in windows:
+                    qmax = table.denom(n + 2) + 10
+                    a = census(alpha, gamma, tau, n, qmax)
+                    b = census(shifted, gamma, tau, n, qmax)
+                    assert b.window == (a.window[0] - k, a.window[1] - k)
+                    assert b.c_n == (None if a.c_n is None else a.c_n - k)
+                    assert (b.window_measure, b.complement_measure_in_window,
+                            b.tail_bound, b.verdict) == \
+                        (a.window_measure, a.complement_measure_in_window,
+                         a.tail_bound, a.verdict)
 
 
 def test_census_computes_one_radius_per_denominator(monkeypatch):
