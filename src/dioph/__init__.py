@@ -6,9 +6,10 @@ Library layout:
   exact order (``exact_cmp``) and certified comparisons;
 * ``contfrac`` — the three kinds of alpha (each gives its value, its
   reflection 1 - alpha and its CLI spec), convergents, exact tails;
-* ``quality`` — quality rows, certified infimum brackets, membership;
+* ``quality`` — quality rows and their one reduction: certified infimum
+  brackets, membership, isolation diagnostics;
 * ``dioset`` — exact truncated sets by one per-denominator sieve, measures;
-* ``topology`` — gap conditions, isolation diagnostics, window census;
+* ``topology`` — gap conditions, window census;
 * ``bands`` — exceptional-gamma bands and series exponents;
 * ``cli`` — the ``dioph`` command-line front end.
 """
@@ -47,9 +48,11 @@ from .dioset import (
 )
 from .quality import (
     GammaResult,
+    IsolationReport,
     MembershipVerdict,
     QualityRow,
     brute_force_gamma,
+    detect_isolation,
     gamma_n,
     gamma_of,
     gamma_parity,
@@ -59,11 +62,9 @@ from .quality import (
 from .topology import (
     CensusRecord,
     GapReport,
-    IsolationReport,
     census,
     check_gap,
     check_gap_strict,
-    detect_isolation,
     gap_threshold,
     gap_threshold_strict,
     quotient_growth_table,

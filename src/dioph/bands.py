@@ -162,6 +162,8 @@ def _n_sum_with_tail(tau: Fraction, n_max: int, precision: int) -> Fraction:
     the closed-form tail n_max^-(tau-2)/(tau-2), rounded outward."""
     if tau <= 2:
         raise DomainError("N-tail requires tau > 2")
+    if n_max < 1:
+        raise DomainError(f"n_max (--nmax) must be >= 1, got {n_max}")
     total = Fraction(0)
     for n in range(1, n_max + 1):
         total += 1 / power_bounds(n, tau - 1, precision)[0]

@@ -32,6 +32,7 @@ from typing import Optional
 from . import bands as bands_mod
 from . import dioset, quality, topology
 from .arith import (
+    DEFAULT_PRECISION,
     DomainError,
     InternalConsistencyError,
     RealEnclosure,
@@ -47,10 +48,9 @@ from .contfrac import (
 from .quality import _gamma_report
 from .svgplot import render_svg
 
-DEFAULT_PREC = 256
 # part of every cache key: raise it when the output of a request can change,
 # so an entry written by an older program is a miss and is rewritten
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 def _cap() -> int:
@@ -388,7 +388,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--qmax", type=int, default=qmax)
         if depth is not None:
             p.add_argument("--depth", type=int, default=depth)
-        p.add_argument("--prec", type=int, default=DEFAULT_PREC,
+        p.add_argument("--prec", type=int, default=DEFAULT_PRECISION,
                        help="working precision in bits (capped by DIOPH_PRECISION_CAP)")
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)

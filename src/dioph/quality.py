@@ -6,6 +6,11 @@ the largest gamma for which alpha satisfies ||q*alpha|| >= gamma/q^tau for
 every q.  Every row is computed along two independent routes — the direct
 distance definition and the tail identity q_n^tau/(alpha_{n+1} q_n + q_{n-1})
 — and the reported enclosure is their intersection.
+
+The rows of one request are built once and reduced by one rule, which the
+membership verdicts and isolation diagnostics read too: a bracket of their
+infimum is certified by a proven lower end on every deeper row, and a finite
+expansion, which has no deeper rows, takes its rows' own lower end.
 """
 
 from __future__ import annotations
@@ -143,8 +148,10 @@ def _table_to(alpha: AlphaSpec, depth: int) -> ConvergentTable:
 
 @dataclass(frozen=True)
 class _GammaRows:
-    """Rows 0..depth of one (alpha, tau) request, built once on first use and
-    read by gamma_of, gamma_parity, membership, detect_isolation and the CLI."""
+    """Rows 0..depth of one (alpha, tau) request, built once on first use, and
+    the one reduction of them that every reader uses.  A bracket is certified
+    by a lower end on every deeper row; a finite expansion has no deeper rows,
+    so the rows' own lower end serves and its brackets are certified."""
 
     alpha: AlphaSpec
     tau: Fraction
@@ -160,6 +167,61 @@ class _GammaRows:
         return [_row(self.alpha, self.tau, self.table, n, self.precision)
                 for n in range(len(self.table))]
 
+    def _of(self, parity: Optional[int]) -> list[QualityRow]:
+        return [r for r in self.rows if parity is None or r.n % 2 == parity]
+
+    def minimum(self, parity: Optional[int] = None
+                ) -> tuple[Optional[ExactValue], Fraction, Fraction, tuple[int, ...]]:
+        """(exact value, lower end, upper end, candidates) of the least row of
+        that parity (of any when None).  Unless some row is inexact, the value
+        is exact and the candidates are the rows equal to it."""
+        rows = self._of(parity)
+        if any(r.exact is None for r in rows):
+            return (None,) + _enclosure_minimum(rows)
+        vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
+        enc = Real.from_exact(vmin).enclose(self.precision)
+        return vmin, enc.lo, enc.hi, tuple(r.n for r in rows if exact_cmp(r.exact, vmin) == 0)
+
+    def tail_floor(self, parity: Optional[int] = None) -> Optional[ExactValue]:
+        """A lower end on every row deeper than depth (of that parity), exact
+        where it can be; None when no such bound is provable."""
+        if self.alpha.terminates:
+            return self.minimum(parity)[1]
+        floor = self.alpha.deep_row_floor(self.table, self.depth, parity)
+        if floor is None:
+            return None
+        c, q = floor
+        bound = Real.power(Fraction(q), self.tau - 1) * c
+        return bound.exact if bound.exact is not None else bound.enclose(self.precision).lo
+
+    def bracket(self, parity: Optional[int] = None) -> GammaResult:
+        """Bracket of the infimum of the rows of that parity (of every row
+        when None), over the computed rows and the deeper ones."""
+        if not self._of(parity):
+            return GammaResult(Fraction(0), Fraction(0), (), False, self.depth)
+        _vmin, lo, hi, argmin = self.minimum(parity)
+        floor = self.tail_floor(parity)
+        floor_lo = None if floor is None else Real.from_exact(floor).enclose(self.precision).lo
+        certified = floor_lo is not None and floor_lo >= 0
+        lower = max(min(lo, floor_lo), Fraction(0)) if certified else Fraction(0)
+        return GammaResult(lower, hi, argmin, certified, self.depth)
+
+    def attained(self) -> Optional[tuple[ExactValue, tuple[int, ...]]]:
+        """(the exact least row, the rows equal to it) when no deeper row can
+        fall below it, so that it is the infimum of every row; else None."""
+        vmin, _lo, _hi, hits = self.minimum()
+        floor = None if vmin is None else self.tail_floor()
+        if floor is None or exact_cmp(vmin, floor) > 0:
+            return None
+        return vmin, hits
+
+
+def _enclosure_minimum(rows: list[QualityRow]) -> tuple[Fraction, Fraction, tuple[int, ...]]:
+    """(least lower end, least upper end, rows whose lower end is at most it)."""
+    upper = min(r.enclosure.hi for r in rows)
+    return (min(r.enclosure.lo for r in rows), upper,
+            tuple(r.n for r in rows if r.enclosure.lo <= upper))
+
 
 def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int
                 ) -> _GammaRows:
@@ -171,81 +233,23 @@ def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int
     return _GammaRows(alpha, tau, alpha.depth_used(depth), precision)
 
 
-def _tail_lower(g: _GammaRows, parity: Optional[int]) -> Optional[Real]:
-    """Strict lower bound (as a certified real) valid for every quality row
-    deeper than g.depth (of the given parity, if any), or None when no such
-    bound is provable."""
-    floor = g.alpha.deep_row_floor(g.table, g.depth, parity)
-    if floor is None:
-        return None
-    c, q = floor
-    return Real.power(Fraction(q), g.tau - 1) * Real.from_exact(c)
-
-
 # ---------------------------------------------------------------------------
 # gamma_of and friends
 # ---------------------------------------------------------------------------
-
-def _reduce_rows(rows: list[QualityRow], tail_bound: Optional[Real],
-                 precision: int, depth_used: int) -> GammaResult:
-    if all(r.exact is not None for r in rows):
-        vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
-        argmin = tuple(r.n for r in rows if r.exact == vmin)
-        enc = Real.from_exact(vmin).enclose(precision)
-        min_lo, upper = enc.lo, enc.hi
-    else:
-        upper = min(r.enclosure.hi for r in rows)
-        min_lo = min(r.enclosure.lo for r in rows)
-        argmin = tuple(r.n for r in rows if r.enclosure.lo <= upper)
-    bound_lo = None if tail_bound is None else tail_bound.enclose(precision).lo
-    certified = bound_lo is not None and bound_lo >= 0
-    if certified:
-        lower = min(min_lo, bound_lo)
-    else:
-        lower = Fraction(0)
-    lower = max(lower, Fraction(0))
-    return GammaResult(lower=lower, upper=upper, argmin_candidates=argmin,
-                       certified=certified, depth_used=depth_used)
-
-
-def _bracket(g: _GammaRows) -> GammaResult:
-    if g.alpha.terminates:
-        return GammaResult(lower=Fraction(0), upper=Fraction(0),
-                           argmin_candidates=(g.depth,), certified=True,
-                           depth_used=g.depth)
-    if g.depth < 1:
-        raise DomainError("prefix too short for any quality row beyond n=0")
-    return _reduce_rows(g.rows, _tail_lower(g, None), g.precision, g.depth)
-
-
-def _parity_brackets(g: _GammaRows) -> tuple[GammaResult, GammaResult]:
-    results = []
-    for parity in (0, 1):
-        sub = [r for r in g.rows if r.n % 2 == parity]
-        if not sub:
-            results.append(GammaResult(Fraction(0), Fraction(0), (), False, g.depth))
-            continue
-        if g.alpha.terminates:
-            # finite expansion: no deeper rows exist, any nonnegative bound works
-            tail_bound = Real.from_exact(sub[0].enclosure.hi)
-        else:
-            tail_bound = _tail_lower(g, parity)
-        results.append(_reduce_rows(sub, tail_bound, g.precision, g.depth))
-    return results[0], results[1]
-
 
 def gamma_of(alpha: AlphaSpec, tau: Fraction, depth: int,
              precision: int = DEFAULT_PRECISION) -> GammaResult:
     """Bracket of inf_n gamma_n(alpha, tau) from rows 0..depth plus a proven
     deep-row bound where one is available (quadratic cycles; bounded-tail
     prefixes computed to their full length)."""
-    return _bracket(_gamma_rows(alpha, tau, depth, precision))
+    return _gamma_report(alpha, tau, depth, precision)[0]
 
 
 def gamma_parity(alpha: AlphaSpec, tau: Fraction, depth: int,
                  precision: int = DEFAULT_PRECISION) -> tuple[GammaResult, GammaResult]:
     """(even-index bracket, odd-index bracket) of the quality infima."""
-    return _parity_brackets(_gamma_rows(alpha, tau, depth, precision))
+    g = _gamma_rows(alpha, tau, depth, precision)
+    return g.bracket(0), g.bracket(1)
 
 
 def _gamma_report(alpha: AlphaSpec, tau: Fraction, depth: int,
@@ -254,9 +258,9 @@ def _gamma_report(alpha: AlphaSpec, tau: Fraction, depth: int,
     """(gamma_of, even bracket, odd bracket, rows 0..depth_used) from one
     build of the rows; each row equals gamma_n at its index."""
     g = _gamma_rows(alpha, tau, depth, precision)
-    res = _bracket(g)
-    even, odd = _parity_brackets(g)
-    return res, even, odd, g.rows
+    if g.depth < 1 and not alpha.terminates:
+        raise DomainError("prefix too short for any quality row beyond n=0")
+    return g.bracket(), g.bracket(0), g.bracket(1), g.rows
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +408,61 @@ def _membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
         if below:
             return MembershipVerdict(kind="out", witness_q=r.q, witness_p=r.p,
                                      budget_spent=r.n), g
-    result = _reduce_rows(g.rows, _tail_lower(g, None), precision, depth)
+    result = g.bracket()
     if result.certified and result.lower >= gamma:
         return MembershipVerdict(kind="in", certified=True, budget_spent=depth,
                                  lower=result.lower, upper=result.upper), g
     return MembershipVerdict(kind="unknown", budget_spent=depth,
                              lower=result.lower, upper=result.upper), g
+
+
+# ---------------------------------------------------------------------------
+# Isolation diagnostics
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class IsolationReport:
+    """Exact tie structure of the quality rows at the level of their infimum.
+
+    cross_parity_ties lists pairs (n, m) of opposite parity whose rows both
+    attain the infimum exactly; attained_minima lists attaining rows when no
+    cross-parity tie exists; boundary_flags lists rows whose distance to the
+    convergent equals gamma/q_n^(tau+1) exactly.  Ties are only reported when
+    provable from exact representations.
+    """
+
+    member: Optional[bool]
+    at_min_level: Optional[bool]
+    cross_parity_ties: tuple[tuple[int, int], ...]
+    attained_minima: tuple[int, ...]
+    boundary_flags: tuple[int, ...]
+    unresolved: tuple[int, ...]
+
+
+def detect_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
+                     depth: int = 40, precision: int = DEFAULT_PRECISION
+                     ) -> IsolationReport:
+    gamma, tau = Fraction(gamma), Fraction(tau)
+    verdict, g = _membership(alpha, gamma, tau, depth, precision)
+    member = True if verdict.is_in else (False if verdict.is_out else None)
+    rows = g.rows
+
+    boundary = tuple(
+        r.n for r in rows
+        if r.exact is not None and exact_cmp(r.exact, gamma) == 0
+    )
+
+    least = g.attained()
+    if least is None:
+        return IsolationReport(member, None, (), (), boundary, _enclosure_minimum(rows)[2])
+
+    vmin, hits = least
+    evens = [n for n in hits if n % 2 == 0]
+    odds = [n for n in hits if n % 2 == 1]
+    ties = tuple((n, m) for n in evens for m in odds)
+    attained = hits if not ties else ()
+    at_min = exact_cmp(vmin, gamma) == 0
+    return IsolationReport(member, at_min, ties, attained, boundary, ())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Gap conditions between same-parity convergent exclusion intervals,
-isolated-point diagnostics, and the per-window census of surviving measure.
+"""Gap conditions between same-parity convergent exclusion intervals and the
+per-window census of surviving measure.
 
 The basic gap condition at index n asks whether the exclusion intervals
 around p_n/q_n and p_{n+2}/q_{n+2} are disjoint; the strengthened variant
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional
 
 from .arith import (
@@ -23,13 +22,12 @@ from .arith import (
     Real,
     RealEnclosure,
     cmp_certified,
-    exact_cmp,
     power_bounds,
     power_sum_tail,
 )
 from .contfrac import AlphaSpec, ConvergentTable
 from .dioset import exclusion_radius, fractions_in_interval, sieve_window
-from .quality import _membership, _table_to, _tail_lower
+from .quality import _table_to
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -148,71 +146,11 @@ def gap_report(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
     return GapReport(
         n=n,
         a_actual=table.a(n + 2),
-        gap=_gap_verdict(table, n, gamma, tau, False, PRECISION_CAP),
-        gap_strict=_gap_verdict(table, n, gamma, tau, True, PRECISION_CAP),
+        gap=_gap_verdict(table, n, gamma, tau, False, precision),
+        gap_strict=_gap_verdict(table, n, gamma, tau, True, precision),
         threshold=thr,
         threshold_strict=thr_s,
     )
-
-
-# ---------------------------------------------------------------------------
-# Isolation diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IsolationReport:
-    """Exact tie structure of the quality rows at the level of their infimum.
-
-    cross_parity_ties lists pairs (n, m) of opposite parity whose rows both
-    attain the infimum exactly; attained_minima lists attaining rows when no
-    cross-parity tie exists; boundary_flags lists rows whose distance to the
-    convergent equals gamma/q_n^(tau+1) exactly.  Ties are only reported when
-    provable from exact representations.
-    """
-
-    member: Optional[bool]
-    at_min_level: Optional[bool]
-    cross_parity_ties: tuple[tuple[int, int], ...]
-    attained_minima: tuple[int, ...]
-    boundary_flags: tuple[int, ...]
-    unresolved: tuple[int, ...]
-
-
-def detect_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
-                     depth: int = 40, precision: int = DEFAULT_PRECISION
-                     ) -> IsolationReport:
-    gamma, tau = Fraction(gamma), Fraction(tau)
-    verdict, g = _membership(alpha, gamma, tau, depth, precision)
-    member = True if verdict.is_in else (False if verdict.is_out else None)
-    rows = g.rows
-
-    boundary = tuple(
-        r.n for r in rows
-        if r.exact is not None and exact_cmp(r.exact, gamma) == 0
-    )
-
-    attained_known = all(r.exact is not None for r in rows)
-    if attained_known:
-        vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
-        if not alpha.terminates:  # a finite expansion's minimum is its infimum
-            # deeper rows all exceed the bound strictly; the infimum is attained
-            # among the computed rows when the minimum does not exceed the bound
-            bound = _tail_lower(g, None)
-            if bound is not None and bound.exact is None:
-                bound = Real.from_exact(bound.enclose(precision).lo)
-            attained_known = bound is not None and exact_cmp(vmin, bound.exact) <= 0
-    if not attained_known:
-        upper = min(r.enclosure.hi for r in rows)
-        unresolved = tuple(r.n for r in rows if r.enclosure.lo <= upper)
-        return IsolationReport(member, None, (), (), boundary, unresolved)
-
-    hits = [r.n for r in rows if exact_cmp(r.exact, vmin) == 0]
-    evens = [n for n in hits if n % 2 == 0]
-    odds = [n for n in hits if n % 2 == 1]
-    ties = tuple((n, m) for n in evens for m in odds)
-    attained = tuple(hits) if not ties else ()
-    at_min = exact_cmp(vmin, gamma) == 0
-    return IsolationReport(member, at_min, ties, attained, boundary, ())
 
 
 # ---------------------------------------------------------------------------

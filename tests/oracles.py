@@ -1,5 +1,6 @@
 """Independent oracles for the library's exact sieve, window enumeration,
-census and quadratic expansions, and helpers that only the tests use.
+census, quadratic expansions and row reduction, and helpers that only the
+tests use.
 
 Each oracle checks a definition directly, by a scan over every denominator,
 by the Farey successor walk the library no longer uses, or with plain
@@ -10,18 +11,29 @@ keys, sweep or recurrence machinery.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Iterator, Optional, Union
 
 from dioph.arith import (
     DEFAULT_PRECISION,
     DomainError,
     Quad,
+    Real,
     RealEnclosure,
     _square_free_split,
+    exact_cmp,
     power_bounds,
 )
 from dioph.contfrac import AlphaSpec, _rational_quotients, convergents, tail_real
 from dioph.dioset import IntervalSet, _key_bits, _open_complement, exclusion_radius
+from dioph.quality import (
+    GammaResult,
+    IsolationReport,
+    MembershipVerdict,
+    QualityRow,
+    _check_unit_interval,
+    _GammaRows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +392,135 @@ def cycle_floors(alpha) -> tuple:
             if floors[k] is None or cand < floors[k]:
                 floors[k] = cand
     return tuple(floors)
+
+
+# ---------------------------------------------------------------------------
+# The row reduction as it was before _GammaRows owned it: one reduction per
+# caller, with a special case per caller for a finite expansion.
+# ---------------------------------------------------------------------------
+
+def _tail_lower(g: _GammaRows, parity: Optional[int]) -> Optional[Real]:
+    """Strict lower bound (as a certified real) valid for every quality row
+    deeper than g.depth (of the given parity, if any), or None when no such
+    bound is provable."""
+    floor = g.alpha.deep_row_floor(g.table, g.depth, parity)
+    if floor is None:
+        return None
+    c, q = floor
+    return Real.power(Fraction(q), g.tau - 1) * Real.from_exact(c)
+
+
+def _reduce_rows(rows: list[QualityRow], tail_bound: Optional[Real],
+                 precision: int, depth_used: int) -> GammaResult:
+    if all(r.exact is not None for r in rows):
+        vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
+        argmin = tuple(r.n for r in rows if r.exact == vmin)
+        enc = Real.from_exact(vmin).enclose(precision)
+        min_lo, upper = enc.lo, enc.hi
+    else:
+        upper = min(r.enclosure.hi for r in rows)
+        min_lo = min(r.enclosure.lo for r in rows)
+        argmin = tuple(r.n for r in rows if r.enclosure.lo <= upper)
+    bound_lo = None if tail_bound is None else tail_bound.enclose(precision).lo
+    certified = bound_lo is not None and bound_lo >= 0
+    if certified:
+        lower = min(min_lo, bound_lo)
+    else:
+        lower = Fraction(0)
+    lower = max(lower, Fraction(0))
+    return GammaResult(lower=lower, upper=upper, argmin_candidates=argmin,
+                       certified=certified, depth_used=depth_used)
+
+
+def _bracket(g: _GammaRows) -> GammaResult:
+    if g.alpha.terminates:
+        return GammaResult(lower=Fraction(0), upper=Fraction(0),
+                           argmin_candidates=(g.depth,), certified=True,
+                           depth_used=g.depth)
+    if g.depth < 1:
+        raise DomainError("prefix too short for any quality row beyond n=0")
+    return _reduce_rows(g.rows, _tail_lower(g, None), g.precision, g.depth)
+
+
+def _parity_brackets(g: _GammaRows) -> tuple[GammaResult, GammaResult]:
+    results = []
+    for parity in (0, 1):
+        sub = [r for r in g.rows if r.n % 2 == parity]
+        if not sub:
+            results.append(GammaResult(Fraction(0), Fraction(0), (), False, g.depth))
+            continue
+        if g.alpha.terminates:
+            # finite expansion: no deeper rows exist, any nonnegative bound works
+            tail_bound = Real.from_exact(sub[0].enclosure.hi)
+        else:
+            tail_bound = _tail_lower(g, parity)
+        results.append(_reduce_rows(sub, tail_bound, g.precision, g.depth))
+    return results[0], results[1]
+
+
+def reference_membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
+                         depth_budget: int, precision: int
+                         ) -> tuple[MembershipVerdict, _GammaRows]:
+    gamma, tau = Fraction(gamma), Fraction(tau)
+    if gamma <= 0:
+        raise DomainError("gamma must be positive")
+    if tau < 1:
+        raise DomainError("tau must be >= 1")
+    _check_unit_interval(alpha)
+    g = _GammaRows(alpha, tau, alpha.depth_used(depth_budget), precision)
+    depth = g.depth
+    if alpha.terminates:
+        return MembershipVerdict(kind="out", witness_q=g.table.denom(depth),
+                                 witness_p=g.table.numer(depth), budget_spent=depth,
+                                 lower=Fraction(0), upper=Fraction(0)), g
+    for r in g.rows:
+        if r.exact is not None:
+            below = exact_cmp(r.exact, gamma) < 0
+        else:
+            below = r.enclosure.hi < gamma
+        if below:
+            return MembershipVerdict(kind="out", witness_q=r.q, witness_p=r.p,
+                                     budget_spent=r.n), g
+    result = _reduce_rows(g.rows, _tail_lower(g, None), precision, depth)
+    if result.certified and result.lower >= gamma:
+        return MembershipVerdict(kind="in", certified=True, budget_spent=depth,
+                                 lower=result.lower, upper=result.upper), g
+    return MembershipVerdict(kind="unknown", budget_spent=depth,
+                             lower=result.lower, upper=result.upper), g
+
+
+def reference_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
+                        depth: int = 40, precision: int = DEFAULT_PRECISION
+                        ) -> IsolationReport:
+    gamma, tau = Fraction(gamma), Fraction(tau)
+    verdict, g = reference_membership(alpha, gamma, tau, depth, precision)
+    member = True if verdict.is_in else (False if verdict.is_out else None)
+    rows = g.rows
+
+    boundary = tuple(
+        r.n for r in rows
+        if r.exact is not None and exact_cmp(r.exact, gamma) == 0
+    )
+
+    attained_known = all(r.exact is not None for r in rows)
+    if attained_known:
+        vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
+        if not alpha.terminates:  # a finite expansion's minimum is its infimum
+            # deeper rows all exceed the bound strictly; the infimum is attained
+            # among the computed rows when the minimum does not exceed the bound
+            bound = _tail_lower(g, None)
+            if bound is not None and bound.exact is None:
+                bound = Real.from_exact(bound.enclose(precision).lo)
+            attained_known = bound is not None and exact_cmp(vmin, bound.exact) <= 0
+    if not attained_known:
+        upper = min(r.enclosure.hi for r in rows)
+        unresolved = tuple(r.n for r in rows if r.enclosure.lo <= upper)
+        return IsolationReport(member, None, (), (), boundary, unresolved)
+
+    hits = [r.n for r in rows if exact_cmp(r.exact, vmin) == 0]
+    evens = [n for n in hits if n % 2 == 0]
+    odds = [n for n in hits if n % 2 == 1]
+    ties = tuple((n, m) for n in evens for m in odds)
+    attained = tuple(hits) if not ties else ()
+    at_min = exact_cmp(vmin, gamma) == 0
+    return IsolationReport(member, at_min, ties, attained, boundary, ())

@@ -186,6 +186,23 @@ def test_set_cache_ignores_an_unversioned_entry(tmp_path):
     assert code == 0 and again == plain
 
 
+def test_cache_ignores_an_entry_of_an_older_format(tmp_path, monkeypatch):
+    # gaps verdicts now follow --prec: an entry written under the previous
+    # CACHE_FORMAT must not be served
+    args = ["gaps", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "7/2",
+            "--depth", "4", "--cache-dir", str(tmp_path / "cache")]
+    _, plain = _run_to_file(tmp_path, "plain.json", list(args[:-2]))
+    monkeypatch.setattr(cli, "CACHE_FORMAT", cli.CACHE_FORMAT - 1)
+    _run_to_file(tmp_path, "old.json", list(args))
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    stale = json.loads(entry.read_text())
+    stale["output"] = "stale\n"
+    entry.write_text(json.dumps(stale))
+    monkeypatch.undo()
+    code, again = _run_to_file(tmp_path, "again.json", list(args))
+    assert code == 0 and again == plain
+
+
 def test_gamma_is_served_from_its_cache_entry(tmp_path, monkeypatch):
     args = ["gamma", "--alpha", "quad:-1,5,2", "--tau", "1",
             "--cache-dir", str(tmp_path / "cache")]
@@ -264,6 +281,13 @@ def test_bands_command(tmp_path):
         tmp_path, "bands.csv",
         ["bands", "--tau", "4", "--band", "2,16,1", "--format", "csv"])
     assert data.decode().splitlines()[0] == "q,p,N,lo,hi,width_bound"
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_bands_nmax_below_one_names_the_option(capsys, nmax):
+    argv = ["bands", "--tau", "5", "--m", "2", "--qmax", "10", "--nmax", nmax]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"dioph: error: n_max (--nmax) must be >= 1, got {nmax}\n"
 
 
 def test_sweep_command(tmp_path):

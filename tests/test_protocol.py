@@ -190,3 +190,23 @@ def test_no_public_function_only_forwards_to_a_method_of_its_argument():
                     and ret.value.func.value.id == fn.args.args[0].arg):
                 found.append(f"{path.name}:{fn.name}")
     assert found == []
+
+
+# private names of quality that another module may import: the CLI's one
+# build of a request's rows, and the convergent table of topology's windows
+QUALITY_PRIVATE_IMPORTS = {("cli.py", "_gamma_report"), ("topology.py", "_table_to")}
+
+
+def test_only_quality_reads_its_row_pipeline():
+    """The rows of a request and their reduction stay inside ``quality``: no
+    other module imports a private name from it, but the two above."""
+    found = []
+    for path in sorted(Path(dioph.__file__).parent.glob("*.py")):
+        if path.name == "quality.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("quality", "dioph.quality"):
+                found += [f"{path.name}:{a.name}" for a in node.names
+                          if a.name.startswith("_")
+                          and (path.name, a.name) not in QUALITY_PRIVATE_IMPORTS]
+    assert found == []

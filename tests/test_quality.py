@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dioph.arith import DomainError, Quad, Real, surd
 from dioph.contfrac import (
@@ -9,15 +11,20 @@ from dioph.contfrac import (
     RationalAlpha,
     cf_expand,
     convergents,
+    quadratic_from_periodic,
+    value_of,
 )
 from dioph.quality import (
+    _gamma_rows,
     brute_force_gamma,
+    detect_isolation,
     gamma_n,
     gamma_of,
     gamma_parity,
     membership,
     tau_bounds,
 )
+from tests import oracles
 from tests.conftest import random_quadratic
 from tests.oracles import tail
 
@@ -242,3 +249,55 @@ def test_tau_bounds():
     lo, hi = tau_bounds(PrefixAlpha(tuple(qs)), len(qs) - 1)
     assert hi is None
     assert lo >= F(3)  # observed exponent approaches the design value 7/2
+
+
+@st.composite
+def row_requests(draw):
+    """(alpha, tau, gamma, depth): rational, quadratic and prefix alphas in
+    (0, 1), prefixes with bounded and unbounded tails and of one quotient too,
+    at integer and fractional tau."""
+    word = [0] + draw(st.lists(st.integers(1, 6), max_size=7))
+    kind = draw(st.sampled_from(["rat", "quad", "prefix", "bounded"]))
+    if kind == "rat":
+        alpha = RationalAlpha(value_of(word + [2]))
+    elif kind == "quad":
+        period = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+        alpha = quadratic_from_periodic(word[:3], period)
+    else:
+        tail_high = F(draw(st.integers(1, 8))) if kind == "bounded" else None
+        alpha = PrefixAlpha(tuple(word), F(1), tail_high)
+    tau = draw(st.sampled_from([F(1), F(2), F(4), F(5, 2), F(7, 2)]))
+    gamma = draw(st.sampled_from([F(1, 100), F(1, 10), F(1, 3), F(2, 5), F(1, 2)]))
+    return alpha, tau, gamma, draw(st.integers(0, 9))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=80)
+@given(row_requests())
+@example((RationalAlpha(F(3, 8)), F(1), F(1, 10), 3))  # [0; 2, 1, 2]: rows 0 and 2 tie
+@example((RationalAlpha(F(3, 7)), F(7, 2), F(1, 10), 3))
+@example((PrefixAlpha((0,)), F(2), F(1, 10), 3))
+@example((PrefixAlpha((0,), F(1), F(3)), F(5, 2), F(1, 10), 2))
+def test_row_reduction_matches_the_reference(request):
+    """The one reduction on _GammaRows gives what each caller's own
+    reduction gave, finite expansions included."""
+    alpha, tau, gamma, depth = request
+
+    def rows():
+        return _gamma_rows(alpha, tau, depth, 256)
+
+    assert _outcome(gamma_of, alpha, tau, depth) == _outcome(lambda: oracles._bracket(rows()))
+    assert (_outcome(gamma_parity, alpha, tau, depth)
+            == _outcome(lambda: oracles._parity_brackets(rows())))
+    for budget in (0, depth):
+        assert (_outcome(membership, alpha, gamma, tau, budget)
+                == _outcome(lambda: oracles.reference_membership(alpha, gamma, tau, budget,
+                                                                 256)[0]))
+    assert (_outcome(detect_isolation, alpha, gamma, tau, depth)
+            == _outcome(oracles.reference_isolation, alpha, gamma, tau, depth))

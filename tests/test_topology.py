@@ -18,14 +18,13 @@ from dioph.contfrac import (
     quadratic_from_periodic,
 )
 from dioph.dioset import truncated_set
-from dioph.quality import gamma_of
+from dioph.quality import detect_isolation, gamma_of
 from dioph.topology import (
     FAILS,
     HOLDS,
     census,
     check_gap,
     check_gap_strict,
-    detect_isolation,
     gap_report,
     gap_threshold,
     gap_threshold_strict,
@@ -270,6 +269,19 @@ def test_gap_report_builds_its_table_once(monkeypatch):
     assert calls == [WINDOW_N + 2]
     assert rep.gap == check_gap(WINDOW_ALPHA, F(1, 10), F(2), WINDOW_N)
     assert rep.gap_strict == check_gap_strict(WINDOW_ALPHA, F(1, 10), F(2), WINDOW_N)
+
+
+def test_gap_report_compares_at_its_precision(monkeypatch):
+    seen = []
+    original = topology.cmp_certified
+
+    def spy(a, b, max_precision_bits):
+        seen.append(max_precision_bits)
+        return original(a, b, max_precision_bits)
+
+    monkeypatch.setattr(topology, "cmp_certified", spy)
+    gap_report(WINDOW_ALPHA, F(1, 10), F(7, 2), WINDOW_N, precision=64)
+    assert seen and max(seen) <= 64
 
 
 def test_detect_isolation_reflection_parity(rng):
