@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .arith import (
     DEFAULT_PRECISION,
@@ -29,6 +29,7 @@ from .arith import (
     Quad,
     Real,
     RealEnclosure,
+    _floor_quad_int,
     _surd_sign,
     enc_intersect,
     exact_cmp,
@@ -267,16 +268,39 @@ def _gamma_report(alpha: AlphaSpec, tau: Fraction, depth: int,
 # Brute force oracle
 # ---------------------------------------------------------------------------
 
-def _bf_quadratic_int_tau(alpha: QuadraticAlpha, t: int, qmax: int,
-                          precision: int) -> tuple[RealEnclosure, int, Quad]:
+def _pruner(lo: Fraction, hi: Fraction, k: int) -> tuple[int, Callable[[int, int], bool]]:
+    """The brute-force scan's one pruning rule, for alpha in [lo, hi] and k =
+    floor(tau): (den, ruled_out), where ruled_out(q, floor(bound*den)) is True,
+    decided on integers, when q^k * ||q*x|| > bound for every x in [lo, hi]."""
+    # q^k <= power_bounds(q, tau, bits)[0] for every bits, so a skipped q is
+    # above the best (test_power_bounds_lower_end_is_at_least_the_floor_power)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    w = hi.numerator * (den // hi.denominator) - a
+
+    def ruled_out(q: int, lim: int) -> bool:
+        # q*lo is r/den above an integer and q*hi (den - r_hi)/den below the
+        # next one; when an integer lies between them, one of the two is <= 0
+        r = q * a % den
+        r_hi = r + q * w
+        return q ** k * min(r, den - r_hi) > lim
+
+    return den, ruled_out
+
+
+def _bf_quadratic_int_tau(alpha: QuadraticAlpha, t: int, qmax: int, precision: int,
+                          den: int, ruled_out: Callable[[int, int], bool]
+                          ) -> tuple[RealEnclosure, int]:
     v = alpha.value()
     x = v.a.numerator * v.b.denominator
     y = v.b.numerator * v.a.denominator
     z = v.a.denominator * v.b.denominator
     d = v.d
     best: Optional[tuple[int, int]] = None
-    best_q = 0
+    best_q = lim = 0
     for q in range(1, qmax + 1):
+        if best is not None and ruled_out(q, lim):
+            continue
         m = _nearest_int(q * x, q * y, z, d)
         num = q * x - m * z
         sb = q * y
@@ -286,14 +310,14 @@ def _bf_quadratic_int_tau(alpha: QuadraticAlpha, t: int, qmax: int,
         cand = (qt * num, qt * sb)
         if best is None or _surd_sign(cand[0] - best[0], cand[1] - best[1], d) < 0:
             best, best_q = cand, q
+            lim = _floor_quad_int(cand[0] * den, cand[1] * den, z, d)
     value = surd(Fraction(best[0], z), Fraction(best[1], z), d)
     assert isinstance(value, Quad)
-    return value.enclose(precision), best_q, value
+    return value.enclose(precision), best_q
 
 
 def _nearest_int(x: int, y: int, z: int, d: int) -> int:
     # nearest integer to (x + y*sqrt(d))/z  (z > 0); irrational, so no ties
-    from .arith import _floor_quad_int
     return _floor_quad_int(2 * x + z, 2 * y, 2 * z, d)
 
 
@@ -317,41 +341,53 @@ def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
                       precision: int = DEFAULT_PRECISION
                       ) -> tuple[RealEnclosure, int]:
     """Direct minimum of q^tau * ||q*alpha|| over q = 1..qmax, computed
-    without convergents.  Returns (enclosure of the minimum, argmin q)."""
+    without convergents.  Returns (enclosure of the minimum, argmin q).
+
+    Every q is visited; its full evaluation is skipped only where q^floor(tau)
+    * dist > the best upper end so far (dist a lower end of ||q*alpha|| on
+    alpha's enclosure) proves that q cannot change the result."""
     tau = Fraction(tau)
+    if tau < 1:
+        raise DomainError("tau must be >= 1")
     if qmax < 1:
         raise DomainError("Qmax must be >= 1")
+    a_enc = alpha.real().enclose(precision)
+    if a_enc.lo is None or a_enc.hi is None:
+        raise DomainError("alpha enclosure must be bounded for brute force")
+    k = tau.numerator // tau.denominator
+    den, ruled_out = _pruner(a_enc.lo, a_enc.hi, k)
     if isinstance(alpha, QuadraticAlpha) and tau.denominator == 1:
-        enc, q, _v = _bf_quadratic_int_tau(alpha, int(tau), qmax, precision)
-        return enc, q
+        return _bf_quadratic_int_tau(alpha, k, qmax, precision, den, ruled_out)
     if isinstance(alpha, RationalAlpha):
         a, b = alpha.value.numerator, alpha.value.denominator
         best: Optional[Fraction] = None  # distance of the current best
-        best_q = 0
+        best_q = lim = 0
         for q in range(1, qmax + 1):
+            if best is not None and ruled_out(q, lim):
+                continue
             r = (q * a) % b
             dist = Fraction(min(r, b - r), b)
             if best is None or weighted_cmp(dist, q, best, best_q, tau) < 0:
                 best, best_q = dist, q
+                lim = math.floor(best * power_bounds(q, tau, precision)[1] * den)
             if best == 0:
                 break
         value = Real.power(Fraction(best_q), tau) * best
         return value.enclose(precision), best_q
     # interval path (prefix alphas, fractional tau on quadratics)
-    a_enc = alpha.real().enclose(precision)
-    if a_enc.lo is None or a_enc.hi is None:
-        raise DomainError("alpha enclosure must be bounded for brute force")
-    best_hi: Optional[Fraction] = None
-    per_q: list[tuple[Fraction, Fraction]] = []
+    best_hi, lim = None, 0
+    per_q: list[tuple[int, Fraction]] = []  # (q, lower end of its value)
     for q in range(1, qmax + 1):
+        if best_hi is not None and ruled_out(q, lim):
+            continue
         dmin, dmax = _dist_interval(q * a_enc.lo, q * a_enc.hi)
         pw_lo, pw_hi = power_bounds(q, tau, precision)
         vlo, vhi = pw_lo * dmin, pw_hi * dmax
-        per_q.append((vlo, vhi))
+        per_q.append((q, vlo))
         if best_hi is None or vhi < best_hi:
-            best_hi = vhi
-    best_lo = min(v[0] for v in per_q)
-    argmin = next(q for q, v in enumerate(per_q, start=1) if v[0] <= best_hi)
+            best_hi, lim = vhi, math.floor(vhi * den)
+    best_lo = min(vlo for _q, vlo in per_q)
+    argmin = next(q for q, vlo in per_q if vlo <= best_hi)
     return RealEnclosure(best_lo, best_hi, precision), argmin
 
 
@@ -454,7 +490,7 @@ def detect_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
 
     least = g.attained()
     if least is None:
-        return IsolationReport(member, None, (), (), boundary, _enclosure_minimum(rows)[2])
+        return IsolationReport(member, None, (), (), boundary, g.minimum()[3])
 
     vmin, hits = least
     evens = [n for n in hits if n % 2 == 0]

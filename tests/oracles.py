@@ -1,6 +1,6 @@
 """Independent oracles for the library's exact sieve, window enumeration,
-census, quadratic expansions and row reduction, and helpers that only the
-tests use.
+census, quadratic expansions, row reduction and brute-force scan, and
+helpers that only the tests use.
 
 Each oracle checks a definition directly, by a scan over every denominator,
 by the Farey successor walk the library no longer uses, or with plain
@@ -21,10 +21,20 @@ from dioph.arith import (
     Real,
     RealEnclosure,
     _square_free_split,
+    _surd_sign,
     exact_cmp,
     power_bounds,
+    surd,
+    weighted_cmp,
 )
-from dioph.contfrac import AlphaSpec, _rational_quotients, convergents, tail_real
+from dioph.contfrac import (
+    AlphaSpec,
+    QuadraticAlpha,
+    RationalAlpha,
+    _rational_quotients,
+    convergents,
+    tail_real,
+)
 from dioph.dioset import IntervalSet, _key_bits, _open_complement, exclusion_radius
 from dioph.quality import (
     GammaResult,
@@ -32,7 +42,9 @@ from dioph.quality import (
     MembershipVerdict,
     QualityRow,
     _check_unit_interval,
+    _dist_interval,
     _GammaRows,
+    _nearest_int,
 )
 
 
@@ -502,7 +514,7 @@ def reference_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
         if r.exact is not None and exact_cmp(r.exact, gamma) == 0
     )
 
-    attained_known = all(r.exact is not None for r in rows)
+    all_exact = attained_known = all(r.exact is not None for r in rows)
     if attained_known:
         vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
         if not alpha.terminates:  # a finite expansion's minimum is its infimum
@@ -513,8 +525,11 @@ def reference_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
                 bound = Real.from_exact(bound.enclose(precision).lo)
             attained_known = bound is not None and exact_cmp(vmin, bound.exact) <= 0
     if not attained_known:
-        upper = min(r.enclosure.hi for r in rows)
-        unresolved = tuple(r.n for r in rows if r.enclosure.lo <= upper)
+        if all_exact:  # the rows equal to the exact minimum
+            unresolved = tuple(r.n for r in rows if exact_cmp(r.exact, vmin) == 0)
+        else:
+            upper = min(r.enclosure.hi for r in rows)
+            unresolved = tuple(r.n for r in rows if r.enclosure.lo <= upper)
         return IsolationReport(member, None, (), (), boundary, unresolved)
 
     hits = [r.n for r in rows if exact_cmp(r.exact, vmin) == 0]
@@ -524,3 +539,73 @@ def reference_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
     attained = tuple(hits) if not ties else ()
     at_min = exact_cmp(vmin, gamma) == 0
     return IsolationReport(member, at_min, ties, attained, boundary, ())
+
+
+# ---------------------------------------------------------------------------
+# The brute-force scan that evaluates every q, without the pruning rule
+# ---------------------------------------------------------------------------
+
+def _bf_quadratic_int_tau(alpha: QuadraticAlpha, t: int, qmax: int,
+                          precision: int) -> tuple[RealEnclosure, int, Quad]:
+    v = alpha.value()
+    x = v.a.numerator * v.b.denominator
+    y = v.b.numerator * v.a.denominator
+    z = v.a.denominator * v.b.denominator
+    d = v.d
+    best: Optional[tuple[int, int]] = None
+    best_q = 0
+    for q in range(1, qmax + 1):
+        m = _nearest_int(q * x, q * y, z, d)
+        num = q * x - m * z
+        sb = q * y
+        if _surd_sign(num, sb, d) < 0:
+            num, sb = -num, -sb
+        qt = q ** t
+        cand = (qt * num, qt * sb)
+        if best is None or _surd_sign(cand[0] - best[0], cand[1] - best[1], d) < 0:
+            best, best_q = cand, q
+    value = surd(Fraction(best[0], z), Fraction(best[1], z), d)
+    assert isinstance(value, Quad)
+    return value.enclose(precision), best_q, value
+
+
+def brute_force_gamma_reference(alpha: AlphaSpec, tau: Fraction, qmax: int,
+                                precision: int = DEFAULT_PRECISION
+                                ) -> tuple[RealEnclosure, int]:
+    """Direct minimum of q^tau * ||q*alpha|| over q = 1..qmax, every q
+    evaluated in full.  Returns (enclosure of the minimum, argmin q)."""
+    tau = Fraction(tau)
+    if qmax < 1:
+        raise DomainError("Qmax must be >= 1")
+    if isinstance(alpha, QuadraticAlpha) and tau.denominator == 1:
+        enc, q, _v = _bf_quadratic_int_tau(alpha, int(tau), qmax, precision)
+        return enc, q
+    if isinstance(alpha, RationalAlpha):
+        a, b = alpha.value.numerator, alpha.value.denominator
+        best: Optional[Fraction] = None  # distance of the current best
+        best_q = 0
+        for q in range(1, qmax + 1):
+            r = (q * a) % b
+            dist = Fraction(min(r, b - r), b)
+            if best is None or weighted_cmp(dist, q, best, best_q, tau) < 0:
+                best, best_q = dist, q
+            if best == 0:
+                break
+        value = Real.power(Fraction(best_q), tau) * best
+        return value.enclose(precision), best_q
+    # interval path (prefix alphas, fractional tau on quadratics)
+    a_enc = alpha.real().enclose(precision)
+    if a_enc.lo is None or a_enc.hi is None:
+        raise DomainError("alpha enclosure must be bounded for brute force")
+    best_hi: Optional[Fraction] = None
+    per_q: list[tuple[Fraction, Fraction]] = []
+    for q in range(1, qmax + 1):
+        dmin, dmax = _dist_interval(q * a_enc.lo, q * a_enc.hi)
+        pw_lo, pw_hi = power_bounds(q, tau, precision)
+        vlo, vhi = pw_lo * dmin, pw_hi * dmax
+        per_q.append((vlo, vhi))
+        if best_hi is None or vhi < best_hi:
+            best_hi = vhi
+    best_lo = min(v[0] for v in per_q)
+    argmin = next(q for q, v in enumerate(per_q, start=1) if v[0] <= best_hi)
+    return RealEnclosure(best_lo, best_hi, precision), argmin

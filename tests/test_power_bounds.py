@@ -47,6 +47,14 @@ def test_power_bounds_enclose_the_power(base, exponent, bits):
     assert hi - lo <= hi / 2 ** (bits - 1)
 
 
+@given(st.integers(1, 10**5), exponents.filter(lambda e: e >= 1),
+       st.sampled_from([1, 8, 64, 256]))
+def test_power_bounds_lower_end_is_at_least_the_floor_power(q, tau, bits):
+    # the lemma under the brute-force scan's pruning rule: q^floor(tau) <= q^tau
+    # holds for the rounded-down end too, at every precision
+    assert power_bounds(q, tau, bits)[0] >= q ** (tau.numerator // tau.denominator)
+
+
 @given(st.integers(1, 500), bases.filter(lambda g: g < 1),
        st.one_of(st.integers(1, 8).map(F),
                  st.builds(F, st.integers(2, 60), st.integers(2, 9))

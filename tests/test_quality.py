@@ -172,6 +172,44 @@ def test_brute_force_agreement_random_quadratics(rng):
             assert min(t.denom(n) for n in res.argmin_candidates) == argq
 
 
+@st.composite
+def bf_requests(draw):
+    """(alpha, tau, qmax, precision): rationals (of denominators up to 600,
+    so that ||q*alpha|| = 0 inside the range too), quadratics and prefixes
+    with bounded and unbounded tails, at integer and fractional tau."""
+    kind = draw(st.sampled_from(["rat", "quad", "prefix", "bounded"]))
+    word = [0] + draw(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+    if kind == "rat":
+        den = draw(st.integers(2, 600))
+        alpha = RationalAlpha(F(draw(st.integers(1, den - 1)), den))
+    elif kind == "quad":
+        period = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+        alpha = quadratic_from_periodic(word[:4], period)
+    else:
+        tail_high = F(draw(st.integers(1, 12))) if kind == "bounded" else None
+        alpha = PrefixAlpha(tuple(word), F(1), tail_high)
+    tau = draw(st.sampled_from([F(1), F(3, 2), F(2), F(5, 2), F(3), F(7, 2), F(4),
+                                F(11, 3)]))
+    return alpha, tau, draw(st.integers(1, 400)), draw(st.sampled_from([8, 64, 256]))
+
+
+@settings(max_examples=100)
+@given(bf_requests())
+@example((RationalAlpha(F(3, 7)), F(5, 2), 400, 64))  # ||7*alpha|| = 0 in range
+def test_brute_force_matches_the_scan_of_every_q(request):
+    """The pruned scan returns the enclosure and argmin of the scan that
+    evaluates every q in full."""
+    alpha, tau, qmax, precision = request
+    enc, q = brute_force_gamma(alpha, tau, qmax, precision)
+    ref, ref_q = oracles.brute_force_gamma_reference(alpha, tau, qmax, precision)
+    assert (enc.lo, enc.hi, q) == (ref.lo, ref.hi, ref_q)
+
+
+def test_brute_force_rejects_tau_below_one():
+    with pytest.raises(DomainError, match="tau must be >= 1"):
+        brute_force_gamma(GOLDEN, F(1, 2), 10)
+
+
 def test_membership_golden_oracle_values():
     # gamma(alpha, 1) = (3 - sqrt5)/2 ~ 0.3819660; witnesses live at q = 1
     out = membership(GOLDEN, F(2, 5), F(1))

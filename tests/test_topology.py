@@ -243,6 +243,16 @@ def test_detect_isolation_quadratic_below_preperiod():
     assert rep.unresolved == () and rep.at_min_level is False
 
 
+def test_detect_isolation_unresolved_reads_the_exact_minimum():
+    # every row is exact, but the floor proven for deeper rows lies below the
+    # least of them: exact comparison finds one least row, where 256-bit
+    # enclosures leave 44 candidates
+    alpha = quadratic_from_periodic([0, 1], [1, 3])
+    rep = detect_isolation(alpha, F(1, 100), F(1), depth=200)
+    assert rep.at_min_level is None
+    assert rep.unresolved == (200,)
+
+
 def test_detect_isolation_builds_each_row_once(monkeypatch):
     calls = []
     original = quality._row
