@@ -236,7 +236,7 @@ def is_square(n: int) -> bool:
 
 
 def _floor_quad_int(x: int, y: int, z: int, d: int) -> int:
-    """floor((x + y*sqrt(d)) / z) for integers, d >= 2 non-square, z != 0."""
+    """floor((x + y*sqrt(d)) / z) for integers, z != 0, d >= 2 non-square (unused if y = 0)."""
     if z < 0:
         x, y, z = -x, -y, -z
     if y == 0:
@@ -249,7 +249,7 @@ def _floor_quad_int(x: int, y: int, z: int, d: int) -> int:
 
 
 def _surd_sign(a, b, d: int) -> int:
-    """Sign of a + b*sqrt(d) for rational a, b and non-square d >= 2."""
+    """Sign of a + b*sqrt(d) for rational a, b and non-square d >= 2 (unused if b = 0)."""
     if b == 0:
         return (a > 0) - (a < 0)
     if a == 0:

@@ -35,6 +35,7 @@ from .arith import (
     DEFAULT_PRECISION,
     DomainError,
     InternalConsistencyError,
+    PRECISION_CAP,
     RealEnclosure,
     format_rat,
     parse_rat,
@@ -54,7 +55,7 @@ CACHE_FORMAT = 4
 
 
 def _cap() -> int:
-    text = os.environ.get("DIOPH_PRECISION_CAP", "4096")
+    text = os.environ.get("DIOPH_PRECISION_CAP", str(PRECISION_CAP))
     try:
         cap = int(text)
     except ValueError:

@@ -14,8 +14,7 @@ Three kinds of input number are supported:
   [tail_low, tail_high] asserted to contain EVERY tail value at or beyond the
   end of the prefix (the weakest sound default is [1, inf)).
 
-Every kind answers the same questions, so no other module tests the kind
-(``quality.brute_force_gamma`` alone picks its algorithm by it):
+Every kind answers the same questions, so no other module tests the kind:
 
 * ``length`` — the number of quotients; ``None`` for a quadratic.
 * ``terminates`` — ``True`` for a rational, ``False`` for a quadratic and
@@ -176,21 +175,25 @@ class QuadraticAlpha:
         return f"quad:{self.p},{self.d},{self.q}"
 
     def depth_used(self, depth: int) -> int:
-        return max(depth, cf_cycle(self)[0], 1)
+        return max(depth, self._preperiod, 1)
+
+    @cached_property
+    def _preperiod(self) -> int:
+        """The index of the first reduced tail, 0 < P <= s < P + Q and Q <= P + s
+        with s = isqrt(D), found without walking the period."""
+        s, n = self._radicand[2], 0
+        while True:
+            pp, qq, _a = self._state(n)
+            if 0 < pp <= s < pp + qq and qq <= pp + s:
+                return n
+            n += 1
 
     @cached_property
     def _cycle(self) -> tuple[int, int, tuple[Optional[Quad], ...]]:
-        """(preperiod, period, floors).  The preperiod is the index of the first
-        reduced tail, 0 < P <= s < P + Q and Q <= P + s with s = isqrt(D);
-        floors is the min of 1/(alpha_{n+1} + 1/a_n) over one period of n:
-        over every n, over even n and over odd n."""
-        _m, d, s = self._radicand
-        start = 0
-        while True:
-            pp, qq, a = self._state(start)
-            if 0 < pp <= s < pp + qq and qq <= pp + s:
-                break
-            start += 1
+        """(preperiod, period, floors): floors is the min of 1/(alpha_{n+1} +
+        1/a_n) over one period of n, over every n, over even n and over odd n."""
+        d, start = self._radicand[1], self._preperiod
+        pp, qq, a = self._state(start)
         first, n = (pp, qq), start
         best: list = [None, None, None]  # (a_n, P_{n+1}, Q_{n+1}, a_{n+1}) of each min
         while True:

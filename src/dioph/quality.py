@@ -19,14 +19,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 from .arith import (
     DEFAULT_PRECISION,
     DomainError,
     ExactValue,
     InternalConsistencyError,
-    Quad,
     Real,
     RealEnclosure,
     _floor_quad_int,
@@ -34,14 +33,10 @@ from .arith import (
     enc_intersect,
     exact_cmp,
     power_bounds,
-    surd,
-    weighted_cmp,
 )
 from .contfrac import (
     AlphaSpec,
     ConvergentTable,
-    QuadraticAlpha,
-    RationalAlpha,
     convergents,
     tail_real,
 )
@@ -268,73 +263,74 @@ def _gamma_report(alpha: AlphaSpec, tau: Fraction, depth: int,
 # Brute force oracle
 # ---------------------------------------------------------------------------
 
-def _pruner(lo: Fraction, hi: Fraction, k: int) -> tuple[int, Callable[[int, int], bool]]:
-    """The brute-force scan's one pruning rule, for alpha in [lo, hi] and k =
-    floor(tau): (den, ruled_out), where ruled_out(q, floor(bound*den)) is True,
-    decided on integers, when q^k * ||q*x|| > bound for every x in [lo, hi]."""
-    # q^k <= power_bounds(q, tau, bits)[0] for every bits, so a skipped q is
-    # above the best (test_power_bounds_lower_end_is_at_least_the_floor_power)
-    den = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (den // lo.denominator)
-    w = hi.numerator * (den // hi.denominator) - a
+class _Scan:
+    """q = 1..qmax on integers over alpha's enclosure [lo, hi]: q*lo lies r/den
+    above an integer and q*hi lies r_hi/den above it, den their common
+    denominator.  Iterating yields (q, r, r_hi) for each q the one pruning
+    rule keeps: a scan holds lim = floor(den * its best upper end), and q is
+    skipped when q^floor(tau) * min(r, den - r_hi) > lim, as then q^tau *
+    ||q*x|| is above the best for every x in [lo, hi]."""
 
-    def ruled_out(q: int, lim: int) -> bool:
-        # q*lo is r/den above an integer and q*hi (den - r_hi)/den below the
-        # next one; when an integer lies between them, one of the two is <= 0
-        r = q * a % den
-        r_hi = r + q * w
-        return q ** k * min(r, den - r_hi) > lim
+    def __init__(self, enc: RealEnclosure, tau: Fraction, qmax: int):
+        self.den = den = math.lcm(enc.lo.denominator, enc.hi.denominator)
+        self.a = enc.lo.numerator * (den // enc.lo.denominator)
+        self.w = enc.hi.numerator * (den // enc.hi.denominator) - self.a
+        self.k, self.qmax = tau.numerator // tau.denominator, qmax
+        self.lim = den  # above the bound of q = 1, which is at most den/2
 
-    return den, ruled_out
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        # q^k <= power_bounds(q, tau, bits)[0] for every bits, so a skipped q is
+        # above the best (test_power_bounds_lower_end_is_at_least_the_floor_power)
+        den, a, w, k = self.den, self.a, self.w, self.k
+        for q in range(1, self.qmax + 1):
+            r = q * a % den
+            r_hi = r + q * w
+            # an integer between q*lo and q*hi makes the bound <= 0
+            if q ** k * min(r, den - r_hi) <= self.lim:
+                yield q, r, r_hi
 
 
-def _bf_quadratic_int_tau(alpha: QuadraticAlpha, t: int, qmax: int, precision: int,
-                          den: int, ruled_out: Callable[[int, int], bool]
-                          ) -> tuple[RealEnclosure, int]:
-    v = alpha.value()
-    x = v.a.numerator * v.b.denominator
-    y = v.b.numerator * v.a.denominator
-    z = v.a.denominator * v.b.denominator
-    d = v.d
+def _distance_range(r: int, r_hi: int, den: int) -> tuple[Fraction, Fraction]:
+    """Least and greatest distance to the nearest integer over [r/den,
+    r_hi/den], for 0 <= r < den and r <= r_hi."""
+    if r_hi - r >= den:
+        return Fraction(0), Fraction(1, 2)
+    dmin = Fraction(max(min(r, den - r_hi), 0), den)
+    # the half-integers that r_hi < 2*den leaves are 1/2 and 3/2
+    if 2 * r <= den <= 2 * r_hi or 3 * den <= 2 * r_hi:
+        return dmin, Fraction(1, 2)
+    h = r_hi % den
+    return dmin, Fraction(max(min(r, den - r), min(h, den - h)), den)
+
+
+def _exact_scan(v: ExactValue, tau: Fraction, scan: _Scan, precision: int
+                ) -> tuple[RealEnclosure, int]:
+    """The scan of v = (x + y*sqrt(d))/z at integer tau, or of a rational (y = 0,
+    d unused) at any tau = f/e: a row is held as z^e * (q^tau * ||q*v||)^e in
+    v's field (e = 1 unless y = 0), so rows compare exactly, as in weighted_cmp."""
+    a, b, d = (v, Fraction(0), 0) if isinstance(v, Fraction) else (v.a, v.b, v.d)
+    x, y = a.numerator * b.denominator, b.numerator * a.denominator
+    z = a.denominator * b.denominator
+    f, e = tau.numerator, tau.denominator
     best: Optional[tuple[int, int]] = None
-    best_q = lim = 0
-    for q in range(1, qmax + 1):
-        if best is not None and ruled_out(q, lim):
-            continue
-        m = _nearest_int(q * x, q * y, z, d)
-        num = q * x - m * z
-        sb = q * y
+    best_q = best_m = 0
+    for q, _r, _r_hi in scan:
+        m = _floor_quad_int(2 * q * x + z, 2 * q * y, 2 * z, d)  # nearest integer to q*v
+        num, sb = q * x - m * z, q * y  # z * (q*v - m) = num + sb*sqrt(d)
         if _surd_sign(num, sb, d) < 0:
             num, sb = -num, -sb
-        qt = q ** t
-        cand = (qt * num, qt * sb)
-        if best is None or _surd_sign(cand[0] - best[0], cand[1] - best[1], d) < 0:
-            best, best_q = cand, q
-            lim = _floor_quad_int(cand[0] * den, cand[1] * den, z, d)
-    value = surd(Fraction(best[0], z), Fraction(best[1], z), d)
-    assert isinstance(value, Quad)
+        qf = q ** f
+        row = (num ** e * qf, sb * qf)
+        if best is not None and _surd_sign(row[0] - best[0], row[1] - best[1], d) >= 0:
+            continue
+        best, best_q, best_m = row, q, m
+        pw = power_bounds(q, tau, precision)[1]
+        scan.lim = _floor_quad_int(pw.numerator * num * scan.den, pw.numerator * sb * scan.den,
+                                   pw.denominator * z, d)
+        if row == (0, 0):
+            break
+    value = Real.power(Fraction(best_q), tau) * abs(v * best_q - best_m)
     return value.enclose(precision), best_q
-
-
-def _nearest_int(x: int, y: int, z: int, d: int) -> int:
-    # nearest integer to (x + y*sqrt(d))/z  (z > 0); irrational, so no ties
-    return _floor_quad_int(2 * x + z, 2 * y, 2 * z, d)
-
-
-def _dist_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Range of distance-to-nearest-integer over [lo, hi]."""
-    if hi - lo >= 1:
-        return Fraction(0), Fraction(1, 2)
-    def dist(x: Fraction) -> Fraction:
-        r = x - (x.numerator // x.denominator)
-        return min(r, 1 - r)
-    has_int = math.ceil(lo) <= math.floor(hi)
-    dmin = Fraction(0) if has_int else min(dist(lo), dist(hi))
-    lo2, hi2 = 2 * lo, 2 * hi
-    k_lo, k_hi = math.ceil(lo2), math.floor(hi2)
-    has_half = any(k % 2 != 0 for k in (k_lo, k_lo + 1) if k <= k_hi)
-    dmax = Fraction(1, 2) if has_half else max(dist(lo), dist(hi))
-    return dmin, dmax
 
 
 def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
@@ -343,49 +339,32 @@ def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
     """Direct minimum of q^tau * ||q*alpha|| over q = 1..qmax, computed
     without convergents.  Returns (enclosure of the minimum, argmin q).
 
-    Every q is visited; its full evaluation is skipped only where q^floor(tau)
-    * dist > the best upper end so far (dist a lower end of ||q*alpha|| on
-    alpha's enclosure) proves that q cannot change the result."""
+    An exact alpha at integer tau, and a rational at any tau, is scanned
+    exactly; any other alpha (a prefix, a quadratic at fractional tau) is
+    scanned over its enclosure at `precision`.  Both scans visit every q and
+    skip its full evaluation only where the pruning rule of `_Scan` proves
+    that q cannot change the result."""
     tau = Fraction(tau)
     if tau < 1:
         raise DomainError("tau must be >= 1")
     if qmax < 1:
         raise DomainError("Qmax must be >= 1")
-    a_enc = alpha.real().enclose(precision)
+    real = alpha.real()
+    a_enc = real.enclose(precision)
     if a_enc.lo is None or a_enc.hi is None:
         raise DomainError("alpha enclosure must be bounded for brute force")
-    k = tau.numerator // tau.denominator
-    den, ruled_out = _pruner(a_enc.lo, a_enc.hi, k)
-    if isinstance(alpha, QuadraticAlpha) and tau.denominator == 1:
-        return _bf_quadratic_int_tau(alpha, k, qmax, precision, den, ruled_out)
-    if isinstance(alpha, RationalAlpha):
-        a, b = alpha.value.numerator, alpha.value.denominator
-        best: Optional[Fraction] = None  # distance of the current best
-        best_q = lim = 0
-        for q in range(1, qmax + 1):
-            if best is not None and ruled_out(q, lim):
-                continue
-            r = (q * a) % b
-            dist = Fraction(min(r, b - r), b)
-            if best is None or weighted_cmp(dist, q, best, best_q, tau) < 0:
-                best, best_q = dist, q
-                lim = math.floor(best * power_bounds(q, tau, precision)[1] * den)
-            if best == 0:
-                break
-        value = Real.power(Fraction(best_q), tau) * best
-        return value.enclose(precision), best_q
-    # interval path (prefix alphas, fractional tau on quadratics)
-    best_hi, lim = None, 0
+    scan = _Scan(a_enc, tau, qmax)
+    if real.exact is not None and (tau.denominator == 1 or isinstance(real.exact, Fraction)):
+        return _exact_scan(real.exact, tau, scan, precision)
+    best_hi: Optional[Fraction] = None
     per_q: list[tuple[int, Fraction]] = []  # (q, lower end of its value)
-    for q in range(1, qmax + 1):
-        if best_hi is not None and ruled_out(q, lim):
-            continue
-        dmin, dmax = _dist_interval(q * a_enc.lo, q * a_enc.hi)
+    for q, r, r_hi in scan:
+        dmin, dmax = _distance_range(r, r_hi, scan.den)
         pw_lo, pw_hi = power_bounds(q, tau, precision)
         vlo, vhi = pw_lo * dmin, pw_hi * dmax
         per_q.append((q, vlo))
         if best_hi is None or vhi < best_hi:
-            best_hi, lim = vhi, math.floor(vhi * den)
+            best_hi, scan.lim = vhi, math.floor(vhi * scan.den)
     best_lo = min(vlo for _q, vlo in per_q)
     argmin = next(q for q, vlo in per_q if vlo <= best_hi)
     return RealEnclosure(best_lo, best_hi, precision), argmin

@@ -22,6 +22,7 @@ from .arith import (
     Real,
     RealEnclosure,
     cmp_certified,
+    format_rat,
     power_bounds,
     power_sum_tail,
 )
@@ -264,7 +265,6 @@ def gap_report_obj(rep: GapReport) -> dict:
 
 
 def census_obj(rec: CensusRecord) -> dict:
-    from .arith import format_rat
     return {
         "n": rec.n,
         "window": [format_rat(rec.window[0]), format_rat(rec.window[1])],

@@ -20,6 +20,7 @@ from dioph.arith import (
     Quad,
     Real,
     RealEnclosure,
+    _floor_quad_int,
     _square_free_split,
     _surd_sign,
     exact_cmp,
@@ -42,9 +43,7 @@ from dioph.quality import (
     MembershipVerdict,
     QualityRow,
     _check_unit_interval,
-    _dist_interval,
     _GammaRows,
-    _nearest_int,
 )
 
 
@@ -567,6 +566,27 @@ def _bf_quadratic_int_tau(alpha: QuadraticAlpha, t: int, qmax: int,
     value = surd(Fraction(best[0], z), Fraction(best[1], z), d)
     assert isinstance(value, Quad)
     return value.enclose(precision), best_q, value
+
+
+def _nearest_int(x: int, y: int, z: int, d: int) -> int:
+    # nearest integer to (x + y*sqrt(d))/z  (z > 0); irrational, so no ties
+    return _floor_quad_int(2 * x + z, 2 * y, 2 * z, d)
+
+
+def _dist_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Range of distance-to-nearest-integer over [lo, hi]."""
+    if hi - lo >= 1:
+        return Fraction(0), Fraction(1, 2)
+    def dist(x: Fraction) -> Fraction:
+        r = x - (x.numerator // x.denominator)
+        return min(r, 1 - r)
+    has_int = math.ceil(lo) <= math.floor(hi)
+    dmin = Fraction(0) if has_int else min(dist(lo), dist(hi))
+    lo2, hi2 = 2 * lo, 2 * hi
+    k_lo, k_hi = math.ceil(lo2), math.floor(hi2)
+    has_half = any(k % 2 != 0 for k in (k_lo, k_lo + 1) if k <= k_hi)
+    dmax = Fraction(1, 2) if has_half else max(dist(lo), dist(hi))
+    return dmin, dmax
 
 
 def brute_force_gamma_reference(alpha: AlphaSpec, tau: Fraction, qmax: int,

@@ -140,6 +140,27 @@ def test_gamma_report_walks_the_cycle_once(monkeypatch):
     assert cf_cycle(alpha) == (4, 3)
 
 
+def test_an_out_at_row_zero_walks_no_period(monkeypatch):
+    """A verdict found at row 0 reads no cycle floor, so only the preperiod
+    is walked, never the period."""
+    walks = []
+    walk = QuadraticAlpha._cycle.func
+
+    def counted_walk(a):
+        walks.append(a)
+        return walk(a)
+
+    cycle = functools.cached_property(counted_walk)
+    cycle.__set_name__(QuadraticAlpha, "_cycle")
+    monkeypatch.setattr(QuadraticAlpha, "_cycle", cycle)
+    # alpha = sqrt(549755813911) - 741455, about 0.2, has a period of 262,388
+    for alpha in (quadratic_from_periodic([0, 3, 1, 4], [1, 2, 3]),
+                  QuadraticAlpha(-741455, 549755813911, 1)):
+        verdict = quality.membership(alpha, F(1, 2), F(1), 5)
+        assert (verdict.kind, verdict.witness_q, verdict.budget_spent) == ("out", 1, 0)
+        assert walks == []
+
+
 ALPHA_CLASSES = {"RationalAlpha", "QuadraticAlpha", "PrefixAlpha"}
 
 
@@ -154,22 +175,15 @@ def _names(node):
 
 
 def test_kind_tests_stay_in_contfrac():
-    """Outside contfrac only brute_force_gamma, which picks an algorithm per
-    kind, may test which kind of alpha it holds."""
+    """No module but contfrac tests which kind of alpha it holds."""
     found = []
     for path in sorted(Path(dioph.__file__).parent.glob("*.py")):
         if path.name == "contfrac.py":
             continue
-        tree = ast.parse(path.read_text())
-        allowed = set()
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef) and fn.name == "brute_force_gamma":
-                allowed |= {id(n) for n in ast.walk(fn)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "isinstance" and len(node.args) == 2
-                    and _names(node.args[1]) & ALPHA_CLASSES
-                    and id(node) not in allowed):
+                    and _names(node.args[1]) & ALPHA_CLASSES):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from dioph.contfrac import (
     value_of,
 )
 from dioph.quality import (
+    _distance_range,
     _gamma_rows,
     brute_force_gamma,
     detect_isolation,
@@ -203,6 +205,60 @@ def test_brute_force_matches_the_scan_of_every_q(request):
     enc, q = brute_force_gamma(alpha, tau, qmax, precision)
     ref, ref_q = oracles.brute_force_gamma_reference(alpha, tau, qmax, precision)
     assert (enc.lo, enc.hi, q) == (ref.lo, ref.hi, ref_q)
+
+
+# alpha = [0; 2, 127, 127, ...], about 0.498: its 8-bit enclosure holds 1/2
+NEAR_HALF = quadratic_from_periodic([0, 2], [127])
+
+
+@pytest.mark.parametrize("alpha, tau, qmax, precision, expected", [
+    # the exact scan: q*alpha = 1/2 and 3/2 (at q = 1 and 5), rows that tie
+    # (the least q is kept), ||7*alpha|| = 0 ending the scan at integer and
+    # at fractional tau, a quadratic at integer tau, and Qmax = 1
+    (RationalAlpha(F(1, 2)), F(1), 1, 64, (F(1, 2), F(1, 2), 1)),
+    (RationalAlpha(F(3, 10)), F(1), 3, 64, (F(3, 10), F(3, 10), 1)),   # ties with q = 3
+    (RationalAlpha(F(8, 33)), F(3, 2), 4, 64, (F(8, 33), F(8, 33), 1)),  # ties with q = 4
+    (RationalAlpha(F(3, 10)), F(3, 2), 9, 64, None),
+    (RationalAlpha(F(3, 7)), F(2), 600, 64, (F(0), F(0), 7)),
+    (RationalAlpha(F(3, 7)), F(7, 2), 600, 8, (F(0), F(0), 7)),
+    (RationalAlpha(F(2, 5)), F(1), 1, 64, (F(2, 5), F(2, 5), 1)),
+    (GOLDEN, F(3), 600, 64, None),
+    (GOLDEN, F(1), 1, 64, None),
+    # the enclosure scan: Qmax = 1, enclosures that hold 1/2, 3/2 or span
+    # at least 1 once scaled (precision 8, q >= 256), and prefixes
+    (GOLDEN, F(5, 2), 1, 64, None),
+    (NEAR_HALF, F(5, 2), 1, 8, None),
+    (GOLDEN, F(5, 2), 600, 8, None),
+    (NEAR_HALF, F(7, 2), 600, 8, None),
+    (PrefixAlpha((0, 2, 3)), F(2), 1, 64, None),
+    (PrefixAlpha((0, 1, 4, 2), F(1), F(3)), F(3), 600, 32, None),
+])
+def test_brute_force_reaches_every_branch_of_both_scans(alpha, tau, qmax, precision, expected):
+    enc, q = brute_force_gamma(alpha, tau, qmax, precision)
+    ref, ref_q = oracles.brute_force_gamma_reference(alpha, tau, qmax, precision)
+    assert (enc.lo, enc.hi, enc.bits, q) == (ref.lo, ref.hi, ref.bits, ref_q)
+    if expected is not None:
+        assert (enc.lo, enc.hi, q) == expected
+    if qmax == 1:
+        assert q == 1
+
+
+@settings(max_examples=300)
+@given(st.fractions(-3, 3, max_denominator=300), st.fractions(0, 2, max_denominator=300),
+       st.integers(1, 40))
+@example(F(1, 2), F(0), 1)         # a half-integer end
+@example(F(7, 10), F(9, 10), 1)   # an integer and 3/2 inside
+@example(F(-1, 3), F(1), 1)       # a span of 1
+@example(F(2), F(0), 3)           # an integer point
+def test_distance_range_matches_the_fraction_distances(lo, width, q):
+    """The integer distances of the brute-force scans equal the range of
+    ||x|| over [q*lo, q*hi] computed on Fractions."""
+    hi = lo + width
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    r = q * a % den
+    r_hi = r + q * (hi.numerator * (den // hi.denominator) - a)
+    assert _distance_range(r, r_hi, den) == oracles._dist_interval(q * lo, q * hi)
 
 
 def test_brute_force_rejects_tau_below_one():

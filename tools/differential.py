@@ -1,0 +1,317 @@
+#!/usr/bin/env python3
+"""Same-bytes differential between two source trees of dioph.
+
+    python3 tools/differential.py --base DIR --head DIR --seed S --requests N
+
+builds one seeded list of requests and runs it in one process per tree, with
+that tree's ``src`` first on ``sys.path``.  The list holds
+
+* N command-line requests: every command with every ``--format`` it accepts;
+  rational, quadratic (denominators of both signs) and ``cf:`` alphas;
+  integer and fractional tau; and error paths (census windows below 0,
+  ``--nmax 0``, bad specs and flags, a bad ``DIOPH_PRECISION_CAP``);
+* ``BF_CALLS`` calls of ``brute_force_gamma`` on seeded rational, quadratic
+  and prefix alphas (a third each; prefixes with and without a tail bound)
+  over nine taus, Qmax <= 600 and precision 8, 32, 64 or 256;
+* the ``bf`` requests among the first ``SCAN_REQUESTS`` requests of the
+  benchmark's ``scan`` workload (``bench/workloads.py`` of the head tree) for
+  each seed of ``SCAN_SEEDS``.
+
+A command-line request is compared on its stdout, stderr and exit code, a
+``brute_force_gamma`` call on (lo, hi, bits, q) of its result; an exception
+is compared on its type and message.  Requests that differ are printed
+grouped by command; the exit code is 1 when any differ, else 0.  The trees
+run one after the other, and the reported time is their sum.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import time
+from collections import Counter, defaultdict
+from fractions import Fraction
+from unittest import mock
+
+TAUS = ("1", "3/2", "2", "5/2", "3", "7/2", "4", "9/2", "11/3")
+GAMMAS = ("1/20", "1/10", "1/8", "1/6", "1/4", "1/3", "0.05")
+PRECS = ("8", "32", "64", "256")
+BF_CALLS = 360
+SCAN_SEEDS = range(1, 7)
+SCAN_REQUESTS = 160
+
+
+# ---------------------------------------------------------------------------
+# Requests
+# ---------------------------------------------------------------------------
+
+def rat_alpha(rng: random.Random, den_max: int = 400) -> str:
+    den = rng.randint(2, den_max)
+    return f"rat:{rng.randint(1, den - 1)}/{den}"
+
+
+def quad_alpha(rng: random.Random, unit: bool = True) -> str:
+    """(P + sqrt(D))/Q with Q of either sign; in (0, 1) when unit."""
+    d = rng.randint(2, 5000)
+    while math.isqrt(d) ** 2 == d:
+        d = rng.randint(2, 5000)
+    s, q = math.isqrt(d), rng.randint(1, 40) * rng.choice((1, -1))
+    if not unit:
+        return f"quad:{rng.randint(-60, 60)},{d},{q}"
+    # 0 < P + sqrt(D) < Q for Q > 0, Q < P + sqrt(D) < 0 for Q < 0
+    p = rng.randint(-s, q - s - 1) if q > 0 else rng.randint(q - s, -s - 1)
+    return f"quad:{p},{d},{q}"
+
+
+def cf_alpha(rng: random.Random, max_len: int = 12) -> str:
+    qs = [rng.randint(1, 9) for _ in range(rng.randint(1, max_len))]
+    return "cf:[0;" + ",".join(map(str, qs)) + "]"
+
+
+def any_alpha(rng: random.Random) -> str:
+    kind = rng.random()
+    if kind < 0.3:  # a tenth of them outside (0, 1)
+        if rng.random() >= 0.9:
+            return f"rat:{rng.randint(-3, 5)}/{rng.randint(1, 3)}"
+        return rat_alpha(rng)
+    if kind < 0.7:
+        return quad_alpha(rng, unit=rng.random() < 0.85)
+    return cf_alpha(rng)
+
+
+def _common(rng: random.Random) -> list[str]:
+    return ["--prec", rng.choice(PRECS)] if rng.random() < 0.5 else []
+
+
+def cli_request(rng: random.Random) -> dict:
+    cmd = rng.choice(("cf", "gamma", "member", "set", "census", "gaps", "bands",
+                      "sweep", "error"))
+    tau, gamma = rng.choice(TAUS), rng.choice(GAMMAS)
+    if cmd == "cf":
+        argv = ["cf", "--alpha", any_alpha(rng), "--depth", str(rng.randint(1, 25)),
+                "--format", rng.choice(("json", "csv"))]
+    elif cmd == "gamma":
+        argv = ["gamma", "--alpha", any_alpha(rng), "--tau", tau,
+                "--depth", str(rng.randint(1, 16))]
+    elif cmd == "member":
+        argv = ["member", "--alpha", any_alpha(rng), "--gamma", gamma, "--tau", tau,
+                "--budget", str(rng.randint(1, 25))]
+    elif cmd == "set":
+        argv = ["set", "--gamma", gamma, "--tau", tau, "--qmax", str(rng.randint(1, 60)),
+                "--format", rng.choice(("json", "csv", "svg"))]
+        if rng.random() < 0.3:
+            argv += ["--alpha", any_alpha(rng)]
+    elif cmd == "census":
+        argv = ["census", "--alpha", quad_alpha(rng) if rng.random() < 0.7 else cf_alpha(rng, 20),
+                "--gamma", gamma, "--tau", tau, "--n", str(rng.randint(-1, 4)),
+                "--qmax", str(rng.randint(20, 200))]
+    elif cmd == "gaps":
+        argv = ["gaps", "--alpha", any_alpha(rng), "--gamma", gamma, "--tau", tau,
+                "--depth", str(rng.randint(2, 10)), "--format", rng.choice(("json", "csv"))]
+    elif cmd == "bands":
+        argv = ["bands", "--tau", tau, "--format", rng.choice(("json", "csv"))]
+        if rng.random() < 0.5:
+            argv += ["--checkpoints", ",".join(str(rng.randint(1, 400)) for _ in range(3))]
+        if rng.random() < 0.5:
+            triples = []
+            for _ in range(rng.randint(1, 3)):
+                q = rng.randint(1, 30)
+                triples.append(f"{q},{rng.randint(0, q)},{rng.randint(1, 5)}")
+            argv += ["--band", ";".join(triples)]
+            if rng.random() < 0.5:
+                argv += ["--pinch-c", rng.choice(("1/4", "1/2", "1")),
+                         "--band-variant", rng.choice(("p", "q"))]
+        if rng.random() < 0.5:
+            argv += ["--m", str(rng.randint(1, 4)), "--qmax", str(rng.randint(5, 60)),
+                     "--nmax", str(rng.choice((0, 1, 8, 64)))]
+    elif cmd == "sweep":
+        argv = ["sweep", "--tau", tau, "--format", rng.choice(("json", "csv", "svg"))]
+        if rng.random() < 0.5:
+            argv += ["--gamma-list", ",".join(rng.sample(GAMMAS[:6], rng.randint(1, 3)))]
+        else:
+            argv += ["--gamma", gamma]
+        qmaxes = [str(rng.randint(1, 40)) for _ in range(rng.randint(1, 3))]
+        argv += ["--qmax-list", ",".join(qmaxes)]
+        if rng.random() < 0.3:
+            argv += ["--alpha", any_alpha(rng)]
+    else:
+        argv = rng.choice((
+            ["nosuch"],
+            ["gamma", "--alpha", "bogus:1", "--tau", tau],
+            ["gamma", "--alpha", quad_alpha(rng), "--tau", "1/2"],
+            ["gamma", "--alpha", quad_alpha(rng), "--tau", tau, "--format", "csv"],
+            ["gamma", "--alpha", quad_alpha(rng), "--tau", tau, "--depth", "0"],
+            ["member", "--alpha", rat_alpha(rng), "--gamma", "0", "--tau", tau],
+            ["set", "--gamma", gamma, "--tau", tau, "--qmax", "0"],
+            ["cf", "--alpha", "cf:[0;]"],
+            ["cf", "--alpha", "quad:1,4,2"],
+            ["cf", "--alpha", "quad:1,5,0"],
+            ["bands", "--tau", "1"],
+        ))
+        return {"kind": "cli", "argv": argv, "env": {}}
+    env = {}
+    if rng.random() < 0.05:
+        env = {"DIOPH_PRECISION_CAP": rng.choice(("abc", "0", "16"))}
+    return {"kind": "cli", "argv": argv + _common(rng), "env": env}
+
+
+def bf_request(rng: random.Random, kind: str) -> dict:
+    tail, qmax = None, rng.randint(1, 600)
+    if kind == "rat":
+        alpha = rat_alpha(rng, 600)  # ||q*alpha|| = 0 inside the range too
+        if rng.random() < 0.5:
+            # below a small denominator rows often tie, and the least q is kept
+            alpha = rat_alpha(rng, 40)
+            qmax = rng.randint(1, int(alpha.split("/")[1]))
+    elif kind == "quad":
+        alpha = quad_alpha(rng, unit=rng.random() < 0.8)
+    else:
+        alpha = cf_alpha(rng, 10)
+        if rng.random() < 0.5:
+            tail = ["1", str(rng.randint(1, 12))]
+    return {"kind": "bf", "alpha": alpha, "tail": tail, "tau": rng.choice(TAUS),
+            "qmax": qmax, "precision": int(rng.choice(PRECS))}
+
+
+def scan_bf_requests(head: str) -> list[dict]:
+    sys.path[:0] = [os.path.join(head, "src"), os.path.join(head, "bench")]
+    import workloads  # noqa: E402  (the benchmark's request streams)
+    out = []
+    for seed in SCAN_SEEDS:
+        for req in workloads.scan(seed):
+            if req["i"] >= SCAN_REQUESTS:
+                break
+            if req["cmd"] == "bf":
+                call = req["call"]
+                out.append({"kind": "bf", "alpha": call["alpha"], "tail": None,
+                            "tau": call["tau"], "qmax": call["qmax"], "precision": None,
+                            "label": f"scan seed {seed} #{req['i']}"})
+    return out
+
+
+def build_requests(args) -> list[dict]:
+    rng = random.Random(f"differential:{args.seed}")
+    reqs = [cli_request(rng) for _ in range(args.requests)]
+    reqs += [bf_request(rng, ("rat", "quad", "prefix")[i % 3]) for i in range(BF_CALLS)]
+    return reqs + scan_bf_requests(args.head)
+
+
+# ---------------------------------------------------------------------------
+# One tree
+# ---------------------------------------------------------------------------
+
+def _error(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def run_tree(tree: str) -> None:
+    """Run the requests read from stdin against the tree; results to stdout."""
+    sys.path.insert(0, os.path.join(tree, "src"))
+    import dioph
+    import dioph.cli
+    from dioph.contfrac import PrefixAlpha
+
+    reqs = json.load(sys.stdin)
+    results = []
+    for req in reqs:
+        if req["kind"] == "bf":
+            try:
+                alpha = dioph.parse_alpha(req["alpha"])
+                if req["tail"]:
+                    alpha = PrefixAlpha(alpha.quotients, *map(Fraction, req["tail"]))
+                kw = {} if req["precision"] is None else {"precision": req["precision"]}
+                enc, q = dioph.brute_force_gamma(alpha, Fraction(req["tau"]), req["qmax"], **kw)
+                results.append([str(enc.lo), str(enc.hi), enc.bits, q])
+            except Exception as exc:  # compared like any other result
+                results.append(_error(exc))
+            continue
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with mock.patch.dict(os.environ, req["env"]), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dioph.cli.run(req["argv"])
+        except Exception as exc:  # a traceback in the CLI, compared like a result
+            code = _error(exc)
+        results.append([out.getvalue(), err.getvalue(), code])
+    json.dump({"dioph": dioph.__file__, "results": results}, sys.stdout)
+
+
+# ---------------------------------------------------------------------------
+# Driver
+# ---------------------------------------------------------------------------
+
+def _describe(req: dict) -> str:
+    if req["kind"] == "cli":
+        env = " ".join(f"{k}={v}" for k, v in req["env"].items())
+        return (env + " " if env else "") + " ".join(req["argv"])
+    tail = f" tail={req['tail']}" if req["tail"] else ""
+    label = f" ({req['label']})" if "label" in req else ""
+    return (f"brute_force_gamma({req['alpha']}{tail}, tau={req['tau']}, "
+            f"qmax={req['qmax']}, precision={req['precision']}){label}")
+
+
+def _differing(a, b) -> str:
+    if isinstance(a, list) and isinstance(b, list) and len(a) == 3 and len(b) == 3:
+        return ", ".join(name for name, x, y in zip(("stdout", "stderr", "exit code"), a, b)
+                         if x != y)
+    return f"{a!r} != {b!r}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", help="root of the tree to compare against")
+    ap.add_argument("--head", help="root of the tree under test")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--requests", type=int, default=1000, help="command-line requests")
+    ap.add_argument("--run", help=argparse.SUPPRESS)  # internal: one tree's process
+    args = ap.parse_args()
+    if args.run:
+        run_tree(args.run)
+        return 0
+    if not (args.base and args.head):
+        ap.error("--base and --head are required")
+    trees = [os.path.abspath(args.base), os.path.abspath(args.head)]
+    args.head = trees[1]
+    reqs = build_requests(args)
+    payload = json.dumps(reqs).encode()
+    start = time.perf_counter()
+    procs = [subprocess.run([sys.executable, os.path.abspath(__file__), "--run", tree],
+                            input=payload, stdout=subprocess.PIPE)
+             for tree in trees]
+    elapsed = time.perf_counter() - start
+    if any(p.returncode for p in procs):
+        print("a tree's process failed", file=sys.stderr)
+        return 2
+    base, head = (json.loads(p.stdout) for p in procs)
+    for tree, res in zip(trees, (base, head)):
+        if not res["dioph"].startswith(tree):
+            print(f"{tree} ran dioph from {res['dioph']}", file=sys.stderr)
+            return 2
+    groups: dict[str, list[str]] = defaultdict(list)
+    for req, a, b in zip(reqs, base["results"], head["results"]):
+        if a != b:
+            group = req["argv"][0] if req["kind"] == "cli" else "brute_force_gamma"
+            groups[group].append(f"  {_describe(req)}\n    differs in {_differing(a, b)}")
+    n_bf = sum(r["kind"] == "bf" for r in reqs)
+    print(f"{len(reqs)} requests ({len(reqs) - n_bf} command-line, {n_bf} brute_force_gamma) "
+          f"in {elapsed:.1f} s: {sum(map(len, groups.values()))} differ")
+    # what the head returned, so that a list that only reaches errors shows
+    outcomes = Counter(("bf " + ("ok" if isinstance(r, list) else "error")) if req["kind"] == "bf"
+                       else f"exit {r[2]}" if isinstance(r[2], int) else "exception"
+                       for req, r in zip(reqs, head["results"]))
+    print("head: " + ", ".join(f"{k} {v}" for k, v in sorted(outcomes.items())))
+    for group in sorted(groups):
+        print(f"{group}: {len(groups[group])}")
+        print("\n".join(groups[group]))
+    return 1 if groups else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
