@@ -15,7 +15,6 @@ Library layout:
 """
 
 from .arith import (
-    CmpVerdict,
     DomainError,
     Quad,
     Real,

@@ -82,16 +82,6 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def bit_ladder(cap: int, start: int = DEFAULT_BITS):
-    """Yield doubling precisions start, 2*start, ... capped at `cap`."""
-    bits = min(start, cap)
-    while True:
-        yield bits
-        if bits >= cap:
-            return
-        bits = min(bits * 2, cap)
-
-
 # ---------------------------------------------------------------------------
 # Enclosures
 # ---------------------------------------------------------------------------
@@ -637,56 +627,27 @@ def power_bounds(base: RatLike, exponent: RatLike, bits: int) -> tuple[Fraction,
 # Certified comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CmpVerdict:
-    """Outcome of a certified comparison: less/greater proven by disjoint
-    enclosures, equality proven only from exact representations, or
-    unresolved at the precision cap."""
-
-    kind: str  # "less" | "greater" | "equal" | "unresolved"
-    precision_reached: Optional[int] = None
-
-    @property
-    def is_less(self) -> bool:
-        return self.kind == "less"
-
-    @property
-    def is_greater(self) -> bool:
-        return self.kind == "greater"
-
-    @property
-    def is_equal(self) -> bool:
-        return self.kind == "equal"
-
-    @property
-    def is_unresolved(self) -> bool:
-        return self.kind == "unresolved"
-
-
-LESS = CmpVerdict("less")
-GREATER = CmpVerdict("greater")
-PROVEN_EQUAL = CmpVerdict("equal")
-
-
-def cmp_certified(a, b, max_precision_bits: int = PRECISION_CAP) -> CmpVerdict:
-    """Compare two enclosure-producers, refining until the order is proven.
+def cmp_certified(a, b, max_precision_bits: int = PRECISION_CAP) -> Optional[int]:
+    """-1, 0 or 1 as a <, = or > b, refining enclosures until the order is
+    proven, or None when it is not proven at `max_precision_bits`.
 
     Two exact values are ordered by :func:`exact_cmp`, so never left
-    unresolved; otherwise equality is never reported, as enclosures can prove
+    unresolved; otherwise 0 is never returned, as enclosures can prove
     strict order only.
     """
     ra, rb = Real.from_exact(a), Real.from_exact(b)
     if ra.exact is not None and rb.exact is not None:
-        return (LESS, PROVEN_EQUAL, GREATER)[exact_cmp(ra.exact, rb.exact) + 1]
-    bits_used = 0
-    for bits in bit_ladder(max_precision_bits):
-        bits_used = bits
+        return exact_cmp(ra.exact, rb.exact)
+    bits = min(DEFAULT_BITS, max_precision_bits)
+    while True:  # doubling precisions up to the cap
         ea, eb = ra.enclose(bits), rb.enclose(bits)
         if ea.hi is not None and eb.lo is not None and ea.hi < eb.lo:
-            return LESS
+            return -1
         if eb.hi is not None and ea.lo is not None and eb.hi < ea.lo:
-            return GREATER
-    return CmpVerdict("unresolved", precision_reached=bits_used)
+            return 1
+        if bits >= max_precision_bits:
+            return None
+        bits = min(2 * bits, max_precision_bits)
 
 
 # ---------------------------------------------------------------------------

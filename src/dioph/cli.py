@@ -127,8 +127,17 @@ def _rat_list(text: str) -> list[Fraction]:
     return [parse_rat(part) for part in text.split(",") if part.strip()]
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _int_list(text: str, option: str, length: Optional[int] = None) -> list[int]:
+    """The integers of the comma list given to `option`, `length` of them
+    when set."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+        if length in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    what = "integers" if length is None else f"{length} integers"
+    raise DomainError(f"{option} expects a comma list of {what}, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +285,7 @@ def _cmd_gaps(args) -> tuple[str, int]:
 
 def _cmd_bands(args) -> tuple[str, int]:
     tau = parse_rat(args.tau)
-    checkpoints = _int_list(args.checkpoints) if args.checkpoints else []
+    checkpoints = _int_list(args.checkpoints, "--checkpoints") if args.checkpoints else []
     report = bands_mod.exponents(tau, checkpoints, precision=64)
     payload = {
         "tau": format_rat(tau),
@@ -291,7 +300,7 @@ def _cmd_bands(args) -> tuple[str, int]:
     band_records = []
     if args.band:
         for triple in args.band.split(";"):
-            q, p, nq = _int_list(triple)
+            q, p, nq = _int_list(triple, "--band", 3)
             band_records.append(bands_mod.gamma_band(q, p, nq, tau, args.prec))
         payload["bands"] = [
             {
@@ -333,7 +342,7 @@ def _cmd_bands(args) -> tuple[str, int]:
 def _cmd_sweep(args) -> tuple[str, int]:
     tau = parse_rat(args.tau)
     gammas = _rat_list(args.gamma_list) if args.gamma_list else [parse_rat(args.gamma)]
-    qmaxes = _int_list(args.qmax_list) if args.qmax_list else [args.qmax]
+    qmaxes = _int_list(args.qmax_list, "--qmax-list") if args.qmax_list else [args.qmax]
     rows = []
     for gamma in gammas:
         for qmax in qmaxes:

@@ -10,8 +10,9 @@ merely touch leave the shared endpoint behind as a degenerate member point.
 One sieve, :func:`sieve_window`, computes these unions on [0, 1] for ``set``,
 ``sweep`` and :func:`set_bracket` and on a convergent window for the census,
 from one radius per denominator and a scan of p for each q.  It merges integer
-keys of the endpoints; measures are summed by denominator.  The same scan
-lists the fractions of a window (:func:`fractions_in_interval`).
+keys of the endpoints; measures are summed by denominator.
+:func:`fractions_in_interval` lists the fractions of a window by a loop of
+its own over each denominator.
 """
 
 from __future__ import annotations

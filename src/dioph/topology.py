@@ -4,8 +4,8 @@ per-window census of surviving measure.
 The basic gap condition at index n asks whether the exclusion intervals
 around p_n/q_n and p_{n+2}/q_{n+2} are disjoint; the strengthened variant
 demands an extra 2*gamma/q_{n+2}^(tau-1) of clearance on the q_{n+2} side.
-Both are equivalent to an explicit threshold on the partial quotient a_{n+2},
-which the exact integer path checks with zero tolerance.
+Each is one inequality, gamma * clearance < 1 - q_n/q_{n+2}, decided exactly
+for integer tau, and equivalent to a threshold on the partial quotient a_{n+2}.
 """
 
 from __future__ import annotations
@@ -35,51 +35,19 @@ FAILS = "fails"
 UNRESOLVED = "unresolved"
 
 
-def _radius_real(q: int, gamma: Fraction, tau: Fraction, shift: int = 1) -> Real:
-    """gamma / q^(tau+shift) as a certified real (exact for integer tau)."""
-    return Real.from_exact(gamma) / Real.power(Fraction(q), tau + shift)
-
-
 # ---------------------------------------------------------------------------
 # Gap conditions
 # ---------------------------------------------------------------------------
-
-def _gap_verdict(table: ConvergentTable, n: int, gamma: Fraction, tau: Fraction,
-                 strict: bool, precision: int) -> str:
-    """Compare the window width |p_{n+2}/q_{n+2} - p_n/q_n| with the
-    clearance the exclusion intervals at n and n+2 need."""
-    gamma, tau = Fraction(gamma), Fraction(tau)
-    width = abs(table.fraction(n + 2) - table.fraction(n))
-    q_n, q_n2 = table.denom(n), table.denom(n + 2)
-    needed = _radius_real(q_n, gamma, tau) + _radius_real(q_n2, gamma, tau)
-    if strict:
-        needed = needed + _radius_real(q_n2, gamma, tau, shift=-1) * 2
-    v = cmp_certified(needed, width, precision)
-    if v.is_less:
-        return HOLDS
-    if v.is_greater or v.is_equal:
-        return FAILS
-    return UNRESOLVED
-
-
-def check_gap(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
-              precision: int = PRECISION_CAP) -> str:
-    """Do the exclusion intervals at n and n+2 stay disjoint?"""
-    return _gap_verdict(_table_to(alpha, n + 2), n, gamma, tau, False, precision)
-
-
-def check_gap_strict(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
-                     precision: int = PRECISION_CAP) -> str:
-    """Gap condition with the extra 2*gamma/q_{n+2}^(tau-1) clearance."""
-    return _gap_verdict(_table_to(alpha, n + 2), n, gamma, tau, True, precision)
-
 
 def clearance(q: int, p: int, s: int, tau: Fraction, strict: bool) -> Real:
     """p/q^tau + q*p/s^(tau+1), plus 2*q*p/s^(tau-1) when strict, for
     (q, p, s) playing (q_n, q_{n+1}, q_{n+2}); exact for integer tau.
 
-    1/gamma minus it is the bracket of the gap thresholds, and (1 - q/s) over
-    it is an end of a gamma band.
+    The window between p_n/q_n and p_{n+2}/q_{n+2} has width
+    a_{n+2}/(q_n*q_{n+2}) = (1 - q/s)/(q*p), so the gap holds exactly when
+    gamma * clearance < 1 - q/s.  The verdict, the threshold on a_{n+2}
+    (whose bracket is 1/gamma minus it) and the ends of a gamma band
+    ((1 - q/s) over it) all read this one inequality.
     """
     c = (Real.from_exact(Fraction(p)) / Real.power(Fraction(q), tau)
          + Real.from_exact(Fraction(q * p)) / Real.power(Fraction(s), tau + 1))
@@ -88,36 +56,67 @@ def clearance(q: int, p: int, s: int, tau: Fraction, strict: bool) -> Real:
     return c
 
 
-def _threshold(q_n: int, q_n1: int, q_n2: int, gamma: Fraction, tau: Fraction,
-               strict: bool, precision: int) -> RealEnclosure:
+def _gap(triple: tuple[int, int, int], gamma: Fraction, tau: Fraction, strict: bool,
+         precision: int, threshold: bool) -> tuple[str, Optional[RealEnclosure]]:
+    """Verdict of gamma * clearance < 1 - q_n/q_{n+2} for the denominators
+    (q_n, q_{n+1}, q_{n+2}) and, when `threshold` is set and
+    1/gamma - clearance is proven positive, the enclosure of the T with: the
+    gap holds if and only if a_{n+2} > T."""
+    q_n, q_n1, q_n2 = triple
     gamma, tau = Fraction(gamma), Fraction(tau)
-    if min(q_n, q_n1, q_n2) < 1:
+    if min(triple) < 1:
         raise DomainError("denominators must be positive")
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    bracket = Real.from_exact(1 / gamma) - clearance(q_n, q_n1, q_n2, tau, strict)
-    sign = cmp_certified(bracket, Fraction(0), precision)
-    if not sign.is_greater:
-        raise DomainError(
-            "threshold undefined: clearance bracket is not provably positive "
-            "(outside the membership regime)")
-    t = (Real.from_exact(Fraction(q_n, q_n1) / gamma) / bracket
-         - Fraction(q_n, q_n1))
-    return t.enclose(precision)
+    c = clearance(q_n, q_n1, q_n2, tau, strict)
+    sign = cmp_certified(c * gamma, 1 - Fraction(q_n, q_n2), precision)
+    verdict = UNRESOLVED if sign is None else (HOLDS if sign < 0 else FAILS)
+    if not threshold:
+        return verdict, None
+    bracket = Real.from_exact(1 / gamma) - c
+    if cmp_certified(bracket, Fraction(0), precision) != 1:
+        return verdict, None
+    ratio = Fraction(q_n, q_n1)
+    return verdict, (Real.from_exact(ratio / gamma) / bracket - ratio).enclose(precision)
+
+
+def _triple(table: ConvergentTable, n: int) -> tuple[int, int, int]:
+    return table.denom(n), table.denom(n + 1), table.denom(n + 2)
+
+
+def check_gap(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
+              precision: int = PRECISION_CAP) -> str:
+    """Do the exclusion intervals at n and n+2 stay disjoint?"""
+    return _gap(_triple(_table_to(alpha, n + 2), n), gamma, tau, False, precision, False)[0]
+
+
+def check_gap_strict(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
+                     precision: int = PRECISION_CAP) -> str:
+    """Gap condition with the extra 2*gamma/q_{n+2}^(tau-1) clearance."""
+    return _gap(_triple(_table_to(alpha, n + 2), n), gamma, tau, True, precision, False)[0]
+
+
+def _threshold(triple: tuple[int, int, int], gamma: Fraction, tau: Fraction,
+               strict: bool, precision: int) -> RealEnclosure:
+    t = _gap(triple, gamma, tau, strict, precision, True)[1]
+    if t is None:
+        raise DomainError("threshold undefined: clearance bracket is not provably "
+                          "positive (outside the membership regime)")
+    return t
 
 
 def gap_threshold(q_n: int, q_n1: int, q_n2: int, gamma: Fraction, tau: Fraction,
                   precision: int = DEFAULT_PRECISION) -> RealEnclosure:
     """Threshold T with: gap holds at n if and only if a_{n+2} > T
     (given the positive-clearance precondition).  Exact for integer tau."""
-    return _threshold(q_n, q_n1, q_n2, gamma, tau, strict=False, precision=precision)
+    return _threshold((q_n, q_n1, q_n2), gamma, tau, False, precision)
 
 
 def gap_threshold_strict(q_n: int, q_n1: int, q_n2: int, gamma: Fraction,
                          tau: Fraction, precision: int = DEFAULT_PRECISION
                          ) -> RealEnclosure:
     """Threshold for the strengthened gap condition."""
-    return _threshold(q_n, q_n1, q_n2, gamma, tau, strict=True, precision=precision)
+    return _threshold((q_n, q_n1, q_n2), gamma, tau, True, precision)
 
 
 @dataclass(frozen=True)
@@ -133,25 +132,10 @@ class GapReport:
 def gap_report(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
                precision: int = DEFAULT_PRECISION) -> GapReport:
     table = _table_to(alpha, n + 2)
-    thr = thr_s = None
-    try:
-        thr = gap_threshold(table.denom(n), table.denom(n + 1), table.denom(n + 2),
-                            gamma, tau, precision)
-    except DomainError:
-        pass
-    try:
-        thr_s = gap_threshold_strict(table.denom(n), table.denom(n + 1),
-                                     table.denom(n + 2), gamma, tau, precision)
-    except DomainError:
-        pass
-    return GapReport(
-        n=n,
-        a_actual=table.a(n + 2),
-        gap=_gap_verdict(table, n, gamma, tau, False, precision),
-        gap_strict=_gap_verdict(table, n, gamma, tau, True, precision),
-        threshold=thr,
-        threshold_strict=thr_s,
-    )
+    gap, thr = _gap(_triple(table, n), gamma, tau, False, precision, True)
+    gap_s, thr_s = _gap(_triple(table, n), gamma, tau, True, precision, True)
+    return GapReport(n=n, a_actual=table.a(n + 2), gap=gap, gap_strict=gap_s,
+                     threshold=thr, threshold_strict=thr_s)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +167,8 @@ def census(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int, qmax: int,
         raise DomainError("gamma must be positive")
     if tau <= 1:
         raise DomainError("window tail bound requires tau > 1")
+    if n < 0:
+        raise DomainError(f"window index n (--n) must be >= 0, got {n}")
     table = _table_to(alpha, n + 2)
     q_n2 = table.denom(n + 2)
     if qmax < q_n2:
@@ -286,16 +272,11 @@ def quotient_growth_table(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
     table = _table_to(alpha, depth)
     rows = []
     for n in range(0, len(table) - 2):
-        if _gap_verdict(table, n, gamma, tau, False, precision) != FAILS:
+        if _gap(_triple(table, n), gamma, tau, False, precision, False)[0] != FAILS:
             continue
         bound = Real.power(Fraction(table.denom(n)), 2 + eps) * c
         enc = bound.enclose(precision)
-        v = cmp_certified(Fraction(table.a(n + 2)), bound, precision)
-        if v.is_less or v.is_equal:
-            ok = HOLDS
-        elif v.is_greater:
-            ok = FAILS
-        else:
-            ok = UNRESOLVED
+        sign = cmp_certified(Fraction(table.a(n + 2)), bound, precision)
+        ok = UNRESOLVED if sign is None else (HOLDS if sign <= 0 else FAILS)
         rows.append((n, table.a(n + 2), enc, ok))
     return rows

@@ -1,6 +1,6 @@
 """Independent oracles for the library's exact sieve, window enumeration,
-census, quadratic expansions, row reduction and brute-force scan, and
-helpers that only the tests use.
+census, gap conditions, quadratic expansions, row reduction and
+brute-force scan, and helpers that only the tests use.
 
 Each oracle checks a definition directly, by a scan over every denominator,
 by the Farey successor walk the library no longer uses, or with plain
@@ -213,6 +213,29 @@ def window_margin_rows(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
             slack = (Fraction(p, q) - r) - (lo + margin)
         rows.append((p, q, slack))
     return rows
+
+
+def gap_from_definition(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int,
+                        strict: bool) -> Optional[bool]:
+    """The gap condition at n from its definition: with r(q) = gamma/q^(tau+1),
+    does r(q_n) + r(q_{n+2}), plus 2*gamma/q_{n+2}^(tau-1) when strict, stay
+    below the width |p_{n+2}/q_{n+2} - p_n/q_n|?  Powers come from
+    ``power_bounds`` at 1024 bits; None when their bounds leave it open."""
+    table = convergents(alpha.quotients_to(n + 3))
+    width = abs(table.fraction(n + 2) - table.fraction(n))
+    q_n, q_n2 = table.denom(n), table.denom(n + 2)
+    powers = [power_bounds(q_n, tau + 1, 1024), power_bounds(q_n2, tau + 1, 1024)]
+    if strict:
+        powers.append(power_bounds(q_n2, tau - 1, 1024))
+    weights = (1, 1, 2)
+    # the low ends of the powers bound the left side from above, the high ends from below
+    left_hi, left_lo = (sum(w * gamma / pw[end] for w, pw in zip(weights, powers))
+                        for end in (0, 1))
+    if left_hi < width:
+        return True
+    if left_lo >= width:
+        return False
+    return None
 
 
 def fractions_in_interval_bruteforce(lo: Fraction, hi: Fraction, max_den: int,

@@ -290,6 +290,34 @@ def test_bands_nmax_below_one_names_the_option(capsys, nmax):
     assert capsys.readouterr().err == f"dioph: error: n_max (--nmax) must be >= 1, got {nmax}\n"
 
 
+@pytest.mark.parametrize("n", ["-1", "-2"])
+def test_census_rejects_a_negative_window_index(capsys, n):
+    argv = ["census", "--alpha", "quad:-1,5,2", "--gamma", "1/6", "--tau", "3",
+            "--n", n, "--qmax", "51"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"dioph: error: window index n (--n) must be >= 0, got {n}\n"
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1/10"])
+def test_gaps_rejects_gamma_at_most_zero(capsys, gamma):
+    assert run(["gaps", "--alpha", "quad:-1,5,2", f"--gamma={gamma}", "--tau", "4"]) == 1
+    assert capsys.readouterr() == ("", "dioph: error: gamma must be positive\n")
+
+
+def test_malformed_list_options_name_the_option(capsys):
+    requests = {
+        ("bands", "--tau", "4", "--band", "1,2"):
+            "--band expects a comma list of 3 integers, got '1,2'",
+        ("bands", "--tau", "4", "--checkpoints", "x"):
+            "--checkpoints expects a comma list of integers, got 'x'",
+        ("sweep", "--tau", "4", "--qmax-list", "3,x"):
+            "--qmax-list expects a comma list of integers, got '3,x'",
+    }
+    for argv, message in requests.items():
+        assert run(list(argv)) == 1
+        assert capsys.readouterr() == ("", f"dioph: error: {message}\n")
+
+
 def test_sweep_command(tmp_path):
     code, data = _run_to_file(
         tmp_path, "sweep.svg",

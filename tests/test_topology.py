@@ -32,7 +32,7 @@ from dioph.topology import (
     window_margin_table,
 )
 from tests.conftest import random_quadratic
-from tests.oracles import census_c_n, window_margin_rows
+from tests.oracles import census_c_n, gap_from_definition, window_margin_rows
 
 GOLDEN = QuadraticAlpha(-1, 5, 2)
 
@@ -181,6 +181,35 @@ def test_thresholds_converge_as_margin_vanishes():
         if prev_gap is not None:
             assert gap < prev_gap
         prev_gap = gap
+
+
+@settings(max_examples=150)
+@given(quotients=st.lists(st.integers(1, 60), min_size=3, max_size=8), pick=st.integers(0, 5),
+       gamma=st.builds(F, st.integers(1, 60), st.integers(2, 400)),
+       tau=st.sampled_from([F(1), F(2), F(3), F(4), F(5, 2), F(7, 2)]),
+       on_boundary=st.booleans())
+def test_gap_report_matches_the_definition(quotients, pick, gamma, tau, on_boundary):
+    alpha = PrefixAlpha((0, *quotients))
+    n = pick % (len(quotients) - 1)
+    if on_boundary and tau.denominator == 1:
+        # the gamma at which the plain radii exactly fill the window: the open
+        # intervals touch there, and the plain gap fails
+        t = convergents((0, *quotients))
+        width = abs(t.fraction(n + 2) - t.fraction(n))
+        gamma = width / (F(1, t.denom(n)) ** (tau + 1) + F(1, t.denom(n + 2)) ** (tau + 1))
+    rep = gap_report(alpha, gamma, tau, n)
+    for got, strict in ((rep.gap, False), (rep.gap_strict, True)):
+        want = gap_from_definition(alpha, gamma, tau, n, strict)
+        if want is not None:
+            assert got == (HOLDS if want else FAILS), (strict, got)
+
+
+@pytest.mark.parametrize("gamma", [F(0), F(-1, 10)])
+def test_gap_checks_reject_gamma_at_most_zero(gamma):
+    with pytest.raises(DomainError, match="gamma must be positive"):
+        gap_report(GOLDEN, gamma, F(4), 1)
+    with pytest.raises(DomainError, match="gamma must be positive"):
+        check_gap(GOLDEN, gamma, F(4), 1)
 
 
 def test_gap_report_shape():

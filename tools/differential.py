@@ -8,8 +8,10 @@ that tree's ``src`` first on ``sys.path``.  The list holds
 
 * N command-line requests: every command with every ``--format`` it accepts;
   rational, quadratic (denominators of both signs) and ``cf:`` alphas;
-  integer and fractional tau; and error paths (census windows below 0,
-  ``--nmax 0``, bad specs and flags, a bad ``DIOPH_PRECISION_CAP``);
+  integer and fractional tau; and error paths (census windows below 0 and
+  at ``--n`` below 0, ``gaps`` at gamma <= 0, ``--nmax 0``, malformed
+  ``--band``, ``--checkpoints`` and ``--qmax-list`` lists, bad specs and
+  flags, a bad ``DIOPH_PRECISION_CAP``);
 * ``BF_CALLS`` calls of ``brute_force_gamma`` on seeded rational, quadratic
   and prefix alphas (a third each; prefixes with and without a tail bound)
   over nine taus, Qmax <= 600 and precision 8, 32, 64 or 256;
@@ -154,6 +156,13 @@ def cli_request(rng: random.Random) -> dict:
             ["cf", "--alpha", "quad:1,4,2"],
             ["cf", "--alpha", "quad:1,5,0"],
             ["bands", "--tau", "1"],
+            ["census", "--alpha", quad_alpha(rng), "--gamma", gamma, "--tau", tau,
+             "--n", "-2", "--qmax", str(rng.randint(20, 200))],
+            ["gaps", "--alpha", any_alpha(rng), "--gamma=" + rng.choice(("0", "-1/10")),
+             "--tau", tau],
+            ["bands", "--tau", tau, "--band", rng.choice(("1,2", "2,16,x", "2,16,1;"))],
+            ["bands", "--tau", tau, "--checkpoints", rng.choice(("x", "10,1/2"))],
+            ["sweep", "--tau", tau, "--qmax-list", rng.choice(("3,x", "3,,4.5"))],
         ))
         return {"kind": "cli", "argv": argv, "env": {}}
     env = {}
