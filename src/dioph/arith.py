@@ -3,9 +3,11 @@
 All quantities in this package are either exact (``Fraction``, ``Quad``) or
 carried as a :class:`RealEnclosure`, a rational interval guaranteed to contain
 the exact real value and refinable to any precision.  :func:`exact_cmp` is the
-one order on exact values.  Comparisons of possibly-irrational quantities go
-through :func:`cmp_certified`, which refines both sides on a doubling
-precision ladder and never reports an order it cannot prove.
+one order on exact values, and it implements a ``Quad``'s operators: its
+``==``, hash, order and printed form are its value's, whatever radicand stores
+it.  Comparisons of possibly-irrational quantities go through
+:func:`cmp_certified`, which refines both sides on a doubling precision ladder
+and never reports an order it cannot prove.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -260,13 +263,16 @@ def _surd_sign(a, b, d: int) -> int:
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@total_ordering
+@dataclass(frozen=True, eq=False)
 class Quad:
     """Exact quadratic surd a + b*sqrt(d) with b != 0 and d >= 2 non-square.
 
     Build values with :func:`surd`, which reduces the radicand once.  The
     arithmetic below keeps that radicand: results in the same field are
-    built directly, never reduced again.
+    built directly, never reduced again.  Comparisons read the value only:
+    they compare with ints, Fractions and Quads by :func:`exact_cmp`, and
+    hash and repr read (a, b*|b|*d), the same for every radicand.
     """
 
     a: Fraction
@@ -385,29 +391,18 @@ class Quad:
             return None
         return _surd_sign(self.a - p[0], self.b - p[1], self.d)
 
+    def __eq__(self, other):
+        return self._cmp(other) == 0 if isinstance(other, _EXACT) else NotImplemented
+
     def __lt__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c < 0
+        return exact_cmp(self, other) < 0 if isinstance(other, _EXACT) else NotImplemented
 
-    def __le__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c <= 0
+    def _invariant(self) -> tuple[Fraction, Fraction]:
+        """(a, b*|b|*d): one pair for every radicand that stores this value."""
+        return self.a, self.b * abs(self.b) * self.d
 
-    def __gt__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c >= 0
+    def __hash__(self):
+        return hash(self._invariant())
 
     def __abs__(self):
         return self if self.sign() >= 0 else -self
@@ -415,21 +410,17 @@ class Quad:
     # -- conversion ---------------------------------------------------------
 
     def floor(self) -> int:
-        x = self.a.numerator * self.b.denominator
-        y = self.b.numerator * self.a.denominator
-        z = self.a.denominator * self.b.denominator
-        return _floor_quad_int(x, y, z, self.d)
+        return _floor_quad_int(*integer_form(self))
 
     def enclose(self, bits: int) -> RealEnclosure:
         s = max(bits, 1)
-        x = self.a.numerator * self.b.denominator
-        y = self.b.numerator * self.a.denominator
-        z = self.a.denominator * self.b.denominator
-        t = _floor_quad_int(x << s, y << s, z, self.d)
+        x, y, z, d = integer_form(self)
+        t = _floor_quad_int(x << s, y << s, z, d)
         return RealEnclosure(Fraction(t, 1 << s), Fraction(t + 1, 1 << s), bits)
 
     def __repr__(self):
-        return f"({format_rat(self.a)} + {format_rat(self.b)}*sqrt({self.d}))"
+        a, s = self._invariant()
+        return f"({format_rat(a)} {'+' if s > 0 else '-'} sqrt({format_rat(abs(s))}))"
 
 
 def surd(a: Fraction, b: Fraction, d: int) -> Union[Fraction, Quad]:
@@ -450,6 +441,16 @@ def surd(a: Fraction, b: Fraction, d: int) -> Union[Fraction, Quad]:
 
 
 ExactValue = Union[Fraction, Quad]
+_EXACT = (int, Fraction, Quad)  # what a Quad compares with
+
+
+def integer_form(v: ExactValue) -> tuple[int, int, int, int]:
+    """(x, y, z, d) with v = (x + y*sqrt(d))/z and z > 0; y = d = 0 for a Fraction."""
+    if isinstance(v, Fraction):
+        return v.numerator, 0, v.denominator, 0
+    a, b = v.a, v.b
+    return (a.numerator * b.denominator, b.numerator * a.denominator,
+            a.denominator * b.denominator, v.d)
 
 
 def exact_cmp(x: ExactValue, y: ExactValue) -> int:

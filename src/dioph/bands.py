@@ -21,7 +21,6 @@ from .arith import (
     Quad,
     Real,
     RealEnclosure,
-    exact_cmp,
     power_bounds,
     power_sum_tail,
     surd,
@@ -116,10 +115,12 @@ def exponents(tau: TauLike, checkpoints: Sequence[int] = (),
               precision: int = 64) -> SeriesReport:
     """Series report for the two controlling exponents at a given tau.
 
-    For rational tau, optional checkpoints request enclosures of the partial
-    sums sum_{q=2..M} q^(-band_exponent); quadratic-surd tau yields the exact
+    For rational tau, optional checkpoints M >= 1 request enclosures of the
+    partial sums sum_{q=2..M} q^(-band_exponent); quadratic-surd tau yields the exact
     exponents only (partial sums are omitted).
     """
+    if checkpoints and min(checkpoints) < 1:
+        raise DomainError(f"checkpoint (--checkpoints) must be >= 1, got {min(checkpoints)}")
     band, pinch = series_exponents(tau)
     sums: list[tuple[int, Fraction, Fraction]] = []
     if checkpoints and not isinstance(band, Quad):
@@ -140,8 +141,8 @@ def exponents(tau: TauLike, checkpoints: Sequence[int] = (),
         tau=tau if isinstance(tau, Quad) else Fraction(tau),
         band_exponent=band,
         pinch_exponent=pinch,
-        band_converges=exact_cmp(band, 1) > 0,
-        pinch_converges=exact_cmp(pinch, 1) > 0,
+        band_converges=band > 1,
+        pinch_converges=pinch > 1,
         partial_sums=tuple(sums),
     )
 

@@ -51,7 +51,7 @@ from .svgplot import render_svg
 
 # part of every cache key: raise it when the output of a request can change,
 # so an entry written by an older program is a miss and is rewritten
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 
 def _cap() -> int:
@@ -263,6 +263,8 @@ def _cmd_census(args) -> tuple[str, int]:
 def _cmd_gaps(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
     gamma, tau = parse_rat(args.gamma), parse_rat(args.tau)
+    if args.depth < 2:
+        raise DomainError(f"depth (--depth) must be >= 2, got {args.depth}")
     reports = []
     unresolved = False
     for n in range(0, args.depth - 1):
@@ -463,6 +465,8 @@ def run(argv=None) -> int:
     3 internal error)."""
     try:
         args = _build_parser().parse_args(argv)
+        if args.prec < 1:
+            raise DomainError(f"precision (--prec) must be >= 1, got {args.prec}")
         args.prec = min(args.prec, _cap())
         text, code = _cached(args)
     except DomainError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -31,7 +31,7 @@ from .arith import (
     _floor_quad_int,
     _surd_sign,
     enc_intersect,
-    exact_cmp,
+    integer_form,
     power_bounds,
 )
 from .contfrac import (
@@ -116,7 +116,7 @@ def _row(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int,
         enc = enc_intersect(enc, fond.enclose(precision))
         if exact is None:
             exact = fond.exact
-        elif fond.exact is not None and exact_cmp(exact, fond.exact) != 0:
+        elif fond.exact is not None and exact != fond.exact:
             raise InternalConsistencyError(
                 f"quality routes disagree at n={n}: {exact!r} vs {fond.exact!r}"
             )
@@ -174,9 +174,9 @@ class _GammaRows:
         rows = self._of(parity)
         if any(r.exact is None for r in rows):
             return (None,) + _enclosure_minimum(rows)
-        vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
+        vmin = min(r.exact for r in rows)
         enc = Real.from_exact(vmin).enclose(self.precision)
-        return vmin, enc.lo, enc.hi, tuple(r.n for r in rows if exact_cmp(r.exact, vmin) == 0)
+        return vmin, enc.lo, enc.hi, tuple(r.n for r in rows if r.exact == vmin)
 
     def tail_floor(self, parity: Optional[int] = None) -> Optional[ExactValue]:
         """A lower end on every row deeper than depth (of that parity), exact
@@ -207,7 +207,7 @@ class _GammaRows:
         fall below it, so that it is the infimum of every row; else None."""
         vmin, _lo, _hi, hits = self.minimum()
         floor = None if vmin is None else self.tail_floor()
-        if floor is None or exact_cmp(vmin, floor) > 0:
+        if floor is None or vmin > floor:
             return None
         return vmin, hits
 
@@ -219,13 +219,13 @@ def _enclosure_minimum(rows: list[QualityRow]) -> tuple[Fraction, Fraction, tupl
             tuple(r.n for r in rows if r.enclosure.lo <= upper))
 
 
-def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int
-                ) -> _GammaRows:
+def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int,
+                depth_name: str = "depth") -> _GammaRows:
     tau = Fraction(tau)
     if tau < 1:
         raise DomainError("tau must be >= 1")
     if depth < 1:
-        raise DomainError("depth must be >= 1")
+        raise DomainError(f"{depth_name} must be >= 1")
     return _GammaRows(alpha, tau, alpha.depth_used(depth), precision)
 
 
@@ -308,9 +308,7 @@ def _exact_scan(v: ExactValue, tau: Fraction, scan: _Scan, precision: int
     """The scan of v = (x + y*sqrt(d))/z at integer tau, or of a rational (y = 0,
     d unused) at any tau = f/e: a row is held as z^e * (q^tau * ||q*v||)^e in
     v's field (e = 1 unless y = 0), so rows compare exactly, as in weighted_cmp."""
-    a, b, d = (v, Fraction(0), 0) if isinstance(v, Fraction) else (v.a, v.b, v.d)
-    x, y = a.numerator * b.denominator, b.numerator * a.denominator
-    z = a.denominator * b.denominator
+    x, y, z, d = integer_form(v)
     f, e = tau.numerator, tau.denominator
     best: Optional[tuple[int, int]] = None
     best_q = best_m = 0
@@ -377,8 +375,7 @@ def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
 def _check_unit_interval(alpha: AlphaSpec) -> None:
     r = alpha.real()
     if r.exact is not None:
-        x = r.exact
-        in_range = exact_cmp(x, Fraction(0)) > 0 and exact_cmp(x, Fraction(1)) < 0
+        in_range = 0 < r.exact < 1
     else:
         enc = r.enclose(128)
         in_range = enc.lo is not None and enc.hi is not None and \
@@ -403,23 +400,18 @@ def _membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
                 depth_budget: int, precision: int
                 ) -> tuple[MembershipVerdict, _GammaRows]:
     """The membership verdict and the rows it reads (built on first use)."""
-    gamma, tau = Fraction(gamma), Fraction(tau)
+    gamma = Fraction(gamma)
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    if tau < 1:
-        raise DomainError("tau must be >= 1")
+    g = _gamma_rows(alpha, tau, depth_budget, precision, "depth budget (--budget)")
     _check_unit_interval(alpha)
-    g = _GammaRows(alpha, tau, alpha.depth_used(depth_budget), precision)
     depth = g.depth
     if alpha.terminates:
         return MembershipVerdict(kind="out", witness_q=g.table.denom(depth),
                                  witness_p=g.table.numer(depth), budget_spent=depth,
                                  lower=Fraction(0), upper=Fraction(0)), g
     for r in g.rows:
-        if r.exact is not None:
-            below = exact_cmp(r.exact, gamma) < 0
-        else:
-            below = r.enclosure.hi < gamma
+        below = r.exact < gamma if r.exact is not None else r.enclosure.hi < gamma
         if below:
             return MembershipVerdict(kind="out", witness_q=r.q, witness_p=r.p,
                                      budget_spent=r.n), g
@@ -457,15 +449,12 @@ class IsolationReport:
 def detect_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
                      depth: int = 40, precision: int = DEFAULT_PRECISION
                      ) -> IsolationReport:
-    gamma, tau = Fraction(gamma), Fraction(tau)
+    gamma = Fraction(gamma)
     verdict, g = _membership(alpha, gamma, tau, depth, precision)
     member = True if verdict.is_in else (False if verdict.is_out else None)
     rows = g.rows
 
-    boundary = tuple(
-        r.n for r in rows
-        if r.exact is not None and exact_cmp(r.exact, gamma) == 0
-    )
+    boundary = tuple(r.n for r in rows if r.exact == gamma)
 
     least = g.attained()
     if least is None:
@@ -476,7 +465,7 @@ def detect_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
     odds = [n for n in hits if n % 2 == 1]
     ties = tuple((n, m) for n in evens for m in odds)
     attained = hits if not ties else ()
-    at_min = exact_cmp(vmin, gamma) == 0
+    at_min = vmin == gamma
     return IsolationReport(member, at_min, ties, attained, boundary, ())
 
 

@@ -78,6 +78,14 @@ def open_union_complement(excluded: Iterable[tuple[Fraction, Fraction]],
     return _open_complement(items, d_lo, d_hi, k)
 
 
+def stored_form(v):
+    """What an exact value stores, where == reads only its value: its type
+    and, for a Quad, its (a, b, d); a tuple item by item."""
+    if isinstance(v, tuple):
+        return tuple(map(stored_form, v))
+    return (Quad, v.a, v.b, v.d) if isinstance(v, Quad) else (type(v), v)
+
+
 @dataclass(frozen=True)
 class TailValue:
     n: int
@@ -500,6 +508,8 @@ def reference_membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
         raise DomainError("gamma must be positive")
     if tau < 1:
         raise DomainError("tau must be >= 1")
+    if depth_budget < 1:  # a usage error, like a depth below 1
+        raise DomainError("depth budget (--budget) must be >= 1")
     _check_unit_interval(alpha)
     g = _GammaRows(alpha, tau, alpha.depth_used(depth_budget), precision)
     depth = g.depth

@@ -23,6 +23,7 @@ from dioph.arith import (
     rat_sum_tail_bound,
     surd,
 )
+from tests.oracles import stored_form
 
 
 def test_parse_format_rat():
@@ -226,6 +227,69 @@ def test_exact_cmp_orders_distinct_fields_by_refinement(ds, k, a, b, e, shift):
     assert cmp_certified(x, y) == want
 
 
+# a product of two primes above the trial-division bound of the radicand
+# split, so that neither P nor 4*P is reduced
+P = 1000000007 * 998244353
+
+
+def test_one_value_over_two_radicands_is_one_quad():
+    x = Quad(F(1), F(1), 4 * P) + Quad(F(0), F(3), P)
+    y = Quad(F(0), F(3), P) + Quad(F(1), F(1), 4 * P)
+    assert (x.d, y.d) == (4 * P, P) and exact_cmp(x, y) == 0
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert repr(x) == repr(y) == "(1 + sqrt(24956108999692761775))"
+
+
+def test_an_unreduced_radicand_equals_its_reduction():
+    # 1000003 is a prime above the trial-division bound, so 3*1000003^2 stays
+    assert Quad(F(0), F(1), 3 * 1000003**2) == surd(F(0), F(1000003), 3)
+
+
+def test_values_of_two_fields_are_ordered_by_operators():
+    r2, r3 = surd(F(0), F(1), 2), surd(F(0), F(1), 3)
+    assert r2 < r3 and r2 <= r3 and r3 > r2 and r3 >= r2 and r2 != r3
+    assert min(r3, F(3, 2), r2) == r2 and max(r2, F(3, 2), r3) == r3
+    # anything but int, Fraction and Quad is not an exact value
+    assert r2 != Real.from_exact(r2) and r2 != 1.5
+    with pytest.raises(TypeError):
+        r2 < Real.from_exact(r3)
+
+
+@st.composite
+def exact_values(draw):
+    """Fractions, and Quads built directly over two or three fields, each
+    radicand scaled by a random square (above the trial-division bound in
+    some draws) and its coefficient divided by the root, so that one value
+    recurs over several radicands."""
+    kernels = draw(st.lists(st.sampled_from([2, 3, 5, 6, 7, 4099]),
+                            min_size=2, max_size=3, unique=True))
+    coefs = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+    values = []
+    for _ in range(draw(st.integers(2, 8))):
+        a = draw(coefs)
+        if draw(st.integers(0, 3)) == 0:
+            values.append(a)
+            continue
+        k = draw(st.sampled_from([1, 2, 3, 10, BIG_PRIME, 1000003, 2**61 - 1]))
+        b = draw(coefs.filter(bool))
+        values.append(Quad(a, b / k, draw(st.sampled_from(kernels)) * k * k))
+    return values
+
+
+@given(exact_values())
+def test_operators_hash_and_repr_agree_with_exact_cmp(values):
+    for x in values:
+        for y in values:
+            c = exact_cmp(x, y)
+            assert (x == y, x != y, x < y, x <= y, x > y, x >= y) == (
+                c == 0, c != 0, c < 0, c <= 0, c > 0, c >= 0)
+            assert (repr(x) == repr(y)) == (c == 0)
+            if c == 0:
+                assert hash(x) == hash(y)
+    classes = {repr(x) for x in values}
+    assert len(set(values)) == len(classes)
+
+
 # radicands grouped by the square-free kernel of their field
 FIELD_GROUPS = {
     2: [2, 8, 50, 2 * BIG_PRIME**2],
@@ -251,8 +315,7 @@ def _ref_binop(x, yab, op):
 
 
 def _same(z, ref):
-    assert type(z) is type(ref)
-    assert z == ref  # dataclass equality: the very same (a, b, d)
+    assert z == ref and stored_form(z) == stored_form(ref)  # the very same (a, b, d)
 
 
 def test_in_field_arithmetic_equals_surd_routing(rng, monkeypatch):

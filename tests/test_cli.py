@@ -304,7 +304,9 @@ def test_gaps_rejects_gamma_at_most_zero(capsys, gamma):
     assert capsys.readouterr() == ("", "dioph: error: gamma must be positive\n")
 
 
-def test_malformed_list_options_name_the_option(capsys):
+def test_bad_options_name_the_option(capsys):
+    """A malformed list or a value out of range ends with exit 1 and a
+    message that names the option."""
     requests = {
         ("bands", "--tau", "4", "--band", "1,2"):
             "--band expects a comma list of 3 integers, got '1,2'",
@@ -312,6 +314,18 @@ def test_malformed_list_options_name_the_option(capsys):
             "--checkpoints expects a comma list of integers, got 'x'",
         ("sweep", "--tau", "4", "--qmax-list", "3,x"):
             "--qmax-list expects a comma list of integers, got '3,x'",
+        # gamma 0 is rejected too, but only once a gap is to be read
+        ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "0", "--tau", "4", "--depth", "1"):
+            "depth (--depth) must be >= 2, got 1",
+        ("bands", "--tau", "4", "--checkpoints", "0,-5"):
+            "checkpoint (--checkpoints) must be >= 1, got -5",
+        ("member", "--alpha", "cf:[0;1,2,3,4,5,6,7]", "--gamma", "1/10", "--tau", "2",
+         "--budget=-3"):
+            "depth budget (--budget) must be >= 1",
+        ("member", "--alpha", "rat:3/7", "--gamma", "1/10", "--tau", "2", "--budget=0"):
+            "depth budget (--budget) must be >= 1",
+        ("cf", "--alpha", "quad:-1,5,2", "--depth", "2", "--prec=0"):
+            "precision (--prec) must be >= 1, got 0",
     }
     for argv, message in requests.items():
         assert run(list(argv)) == 1

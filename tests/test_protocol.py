@@ -224,3 +224,18 @@ def test_only_quality_reads_its_row_pipeline():
                           if a.name.startswith("_")
                           and (path.name, a.name) not in QUALITY_PRIVATE_IMPORTS]
     assert found == []
+
+
+def test_only_arith_names_exact_cmp():
+    """Other modules compare exact values with operators: none but ``arith``
+    names ``exact_cmp``, and none imports ``cmp_to_key``."""
+    found = []
+    for path in sorted(Path(dioph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name.rpartition(".")[2] for a in node.names}
+            else:
+                names = _names(node) if isinstance(node, (ast.Name, ast.Attribute)) else set()
+            if "cmp_to_key" in names or ("exact_cmp" in names and path.name != "arith.py"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dioph.arith import is_square
 from dioph.contfrac import QuadraticAlpha, cf_cycle
 from dioph.quality import gamma_of
-from tests.oracles import cycle_floors, quad_cycle, quad_quotient, quad_tail
+from tests.oracles import cycle_floors, quad_cycle, quad_quotient, quad_tail, stored_form
 
 
 @st.composite
@@ -53,9 +53,9 @@ def test_walk_matches_the_dict_walk(alpha):
     assert alpha.quotients_to(stop) == [quad_quotient(alpha, n) for n in range(stop)]
     for n in range(stop):
         got, want = alpha.tail(n).exact, quad_tail(alpha, n)
-        assert got == want and repr(got) == repr(want)
+        assert got == want and stored_form(got) == stored_form(want)
     got, want = alpha._cycle[2], cycle_floors(alpha)
-    assert got == want and repr(got) == repr(want)
+    assert got == want and stored_form(got) == stored_form(want)
 
 
 def test_memory_does_not_grow_with_the_period():

@@ -9,9 +9,10 @@ that tree's ``src`` first on ``sys.path``.  The list holds
 * N command-line requests: every command with every ``--format`` it accepts;
   rational, quadratic (denominators of both signs) and ``cf:`` alphas;
   integer and fractional tau; and error paths (census windows below 0 and
-  at ``--n`` below 0, ``gaps`` at gamma <= 0, ``--nmax 0``, malformed
-  ``--band``, ``--checkpoints`` and ``--qmax-list`` lists, bad specs and
-  flags, a bad ``DIOPH_PRECISION_CAP``);
+  at ``--n`` below 0, ``gaps`` at gamma <= 0 or ``--depth`` below 2,
+  ``--nmax 0``, ``--checkpoints`` and ``--budget`` below 1, ``--prec``
+  below 1, malformed ``--band``, ``--checkpoints`` and ``--qmax-list``
+  lists, bad specs and flags, a bad ``DIOPH_PRECISION_CAP``);
 * ``BF_CALLS`` calls of ``brute_force_gamma`` on seeded rational, quadratic
   and prefix alphas (a third each; prefixes with and without a tail bound)
   over nine taus, Qmax <= 600 and precision 8, 32, 64 or 256;
@@ -163,6 +164,13 @@ def cli_request(rng: random.Random) -> dict:
             ["bands", "--tau", tau, "--band", rng.choice(("1,2", "2,16,x", "2,16,1;"))],
             ["bands", "--tau", tau, "--checkpoints", rng.choice(("x", "10,1/2"))],
             ["sweep", "--tau", tau, "--qmax-list", rng.choice(("3,x", "3,,4.5"))],
+            ["gaps", "--alpha", any_alpha(rng), "--gamma", gamma, "--tau", tau,
+             "--depth=" + rng.choice(("1", "0", "-3"))],
+            ["bands", "--tau", tau, "--checkpoints", rng.choice(("0", "0,-5", "10,-1"))],
+            ["member", "--alpha", any_alpha(rng), "--gamma", gamma, "--tau", tau,
+             "--budget=" + rng.choice(("0", "-1", "-3"))],
+            ["cf", "--alpha", any_alpha(rng), "--depth", "3",
+             "--prec=" + rng.choice(("0", "-8"))],
         ))
         return {"kind": "cli", "argv": argv, "env": {}}
     env = {}
