@@ -1,13 +1,16 @@
 """Exact rationals, quadratic surds, and certified real enclosures.
 
 All quantities in this package are either exact (``Fraction``, ``Quad``) or
-carried as a :class:`RealEnclosure`, a rational interval guaranteed to contain
-the exact real value and refinable to any precision.  :func:`exact_cmp` is the
-one order on exact values, and it implements a ``Quad``'s operators: its
-``==``, hash, order and printed form are its value's, whatever radicand stores
-it.  Comparisons of possibly-irrational quantities go through
-:func:`cmp_certified`, which refines both sides on a doubling precision ladder
-and never reports an order it cannot prove.
+carried as a :class:`RealEnclosure`, a closed interval between two rationals
+guaranteed to contain the exact real value and refinable to any precision.
+Every enclosure is bounded: dividing by one that contains 0 raises
+:class:`DomainError`, and a prefix without a tail bound raises rather than
+enclose a tail past its end.  :func:`exact_cmp` is the one order on exact
+values, and it implements a ``Quad``'s operators: its ``==``, hash, order and
+printed form are its value's, whatever radicand stores it.  Comparisons of
+possibly-irrational quantities go through :func:`cmp_certified`, which refines
+both sides on a doubling precision ladder and never reports an order it cannot
+prove.
 """
 
 from __future__ import annotations
@@ -91,42 +94,21 @@ def iroot(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class RealEnclosure:
-    """Certified interval [lo, hi] containing an exact real value.
+    """Certified closed interval [lo, hi] of rationals containing an exact real value."""
 
-    A ``None`` bound means the enclosure is unbounded on that side.
-    """
-
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+    lo: Fraction
+    hi: Fraction
     bits: int
 
     def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+        if self.lo > self.hi:
             raise InternalConsistencyError(f"inverted enclosure [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> Optional[Fraction]:
-        if self.lo is None or self.hi is None:
-            return None
-        return self.hi - self.lo
-
-    @property
-    def bounded(self) -> bool:
-        return self.lo is not None and self.hi is not None
-
     def contains(self, x: Fraction) -> bool:
-        if self.lo is not None and x < self.lo:
-            return False
-        if self.hi is not None and x > self.hi:
-            return False
-        return True
+        return self.lo <= x <= self.hi
 
     def to_obj(self) -> dict:
-        return {
-            "lo": "-inf" if self.lo is None else format_rat(self.lo),
-            "hi": "inf" if self.hi is None else format_rat(self.hi),
-            "bits": self.bits,
-        }
+        return {"lo": format_rat(self.lo), "hi": format_rat(self.hi), "bits": self.bits}
 
 
 def enc_point(x: Fraction, bits: int) -> RealEnclosure:
@@ -134,17 +116,11 @@ def enc_point(x: Fraction, bits: int) -> RealEnclosure:
 
 
 def enc_neg(a: RealEnclosure) -> RealEnclosure:
-    return RealEnclosure(
-        None if a.hi is None else -a.hi,
-        None if a.lo is None else -a.lo,
-        a.bits,
-    )
+    return RealEnclosure(-a.hi, -a.lo, a.bits)
 
 
 def enc_add(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
-    lo = None if (a.lo is None or b.lo is None) else a.lo + b.lo
-    hi = None if (a.hi is None or b.hi is None) else a.hi + b.hi
-    return RealEnclosure(lo, hi, min(a.bits, b.bits))
+    return RealEnclosure(a.lo + b.lo, a.hi + b.hi, min(a.bits, b.bits))
 
 
 def enc_sub(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
@@ -152,30 +128,15 @@ def enc_sub(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
 
 
 def enc_mul(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
-    bits = min(a.bits, b.bits)
-    if a.bounded and b.bounded:
-        prods = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
-        return RealEnclosure(min(prods), max(prods), bits)
-    # unbounded operands only supported in the nonnegative cone, which is the
-    # only place they arise (continued-fraction tails in [1, inf))
-    if (a.lo is not None and a.lo >= 0) and (b.lo is not None and b.lo >= 0):
-        hi = None if (a.hi is None or b.hi is None) else a.hi * b.hi
-        return RealEnclosure(a.lo * b.lo, hi, bits)
-    return RealEnclosure(None, None, bits)
+    prods = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
+    return RealEnclosure(min(prods), max(prods), min(a.bits, b.bits))
 
 
 def enc_inv(a: RealEnclosure) -> RealEnclosure:
-    bits = a.bits
-    if a.lo is not None and a.lo > 0:
-        hi = Fraction(1) / a.lo
-        lo = Fraction(0) if a.hi is None else Fraction(1) / a.hi
-        return RealEnclosure(lo, hi, bits)
-    if a.hi is not None and a.hi < 0:
-        lo = Fraction(1) / a.hi
-        hi = Fraction(0) if a.lo is None else Fraction(1) / a.lo
-        return RealEnclosure(lo, hi, bits)
-    # sign not resolved at this precision
-    return RealEnclosure(None, None, bits)
+    if a.lo <= 0 <= a.hi:
+        raise DomainError(f"division by an enclosure containing 0 at {a.bits} bits: "
+                          f"[{format_rat(a.lo)}, {format_rat(a.hi)}]")
+    return RealEnclosure(Fraction(1) / a.hi, Fraction(1) / a.lo, a.bits)
 
 
 def enc_div(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
@@ -183,19 +144,16 @@ def enc_div(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
 
 
 def enc_abs(a: RealEnclosure) -> RealEnclosure:
-    if a.lo is not None and a.lo >= 0:
+    if a.lo >= 0:
         return a
-    if a.hi is not None and a.hi <= 0:
+    if a.hi <= 0:
         return enc_neg(a)
-    if a.lo is None or a.hi is None:
-        return RealEnclosure(Fraction(0), None, a.bits)
     return RealEnclosure(Fraction(0), max(-a.lo, a.hi), a.bits)
 
 
 def enc_intersect(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
-    lo = a.lo if b.lo is None else (b.lo if a.lo is None else max(a.lo, b.lo))
-    hi = a.hi if b.hi is None else (b.hi if a.hi is None else min(a.hi, b.hi))
-    if lo is not None and hi is not None and lo > hi:
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if lo > hi:
         raise InternalConsistencyError(
             f"disjoint enclosures [{a.lo},{a.hi}] and [{b.lo},{b.hi}]"
         )
@@ -526,7 +484,7 @@ class Real:
         raise TypeError(f"cannot build Real from {type(x)!r}")
 
     @staticmethod
-    def from_interval(lo: Optional[Fraction], hi: Optional[Fraction]) -> "Real":
+    def from_interval(lo: Fraction, hi: Fraction) -> "Real":
         return Real(lambda bits: RealEnclosure(lo, hi, bits))
 
     @staticmethod
@@ -642,9 +600,9 @@ def cmp_certified(a, b, max_precision_bits: int = PRECISION_CAP) -> Optional[int
     bits = min(DEFAULT_BITS, max_precision_bits)
     while True:  # doubling precisions up to the cap
         ea, eb = ra.enclose(bits), rb.enclose(bits)
-        if ea.hi is not None and eb.lo is not None and ea.hi < eb.lo:
+        if ea.hi < eb.lo:
             return -1
-        if eb.hi is not None and ea.lo is not None and eb.hi < ea.lo:
+        if eb.hi < ea.lo:
             return 1
         if bits >= max_precision_bits:
             return None

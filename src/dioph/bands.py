@@ -21,6 +21,7 @@ from .arith import (
     Quad,
     Real,
     RealEnclosure,
+    format_rat,
     power_bounds,
     power_sum_tail,
     surd,
@@ -90,6 +91,8 @@ def pinch_band(q: int, p: int, n_quot: int, tau: Fraction, c: Fraction,
     tau, c = Fraction(tau), Fraction(c)
     if min(q, p) < 1 or n_quot < 1:
         raise DomainError("q, p, N must be >= 1")
+    if c <= 0:
+        raise DomainError(f"pinch constant c (--pinch-c) must be positive, got {format_rat(c)}")
     if variant not in ("p", "q"):
         raise DomainError("variant must be 'p' or 'q'")
     anchor = Fraction(p) if variant == "p" else Fraction(q)

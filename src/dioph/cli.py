@@ -36,7 +36,6 @@ from .arith import (
     DomainError,
     InternalConsistencyError,
     PRECISION_CAP,
-    RealEnclosure,
     format_rat,
     parse_rat,
 )
@@ -51,7 +50,7 @@ from .svgplot import render_svg
 
 # part of every cache key: raise it when the output of a request can change,
 # so an entry written by an older program is a miss and is rewritten
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 
 
 def _cap() -> int:
@@ -63,10 +62,6 @@ def _cap() -> int:
     if cap < 1:
         raise DomainError(f"DIOPH_PRECISION_CAP must be a positive integer, got {text!r}")
     return cap
-
-
-def _enc_obj(e: Optional[RealEnclosure]):
-    return None if e is None else e.to_obj()
 
 
 def _emit(args, text: str) -> None:
@@ -123,16 +118,20 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _rat_list(text: str) -> list[Fraction]:
-    return [parse_rat(part) for part in text.split(",") if part.strip()]
+def _rat_list(text: str, option: str) -> list[Fraction]:
+    """The rationals of the comma list given to `option`, at least one."""
+    values = [parse_rat(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise DomainError(f"{option} expects a comma list of rationals, got {text!r}")
+    return values
 
 
 def _int_list(text: str, option: str, length: Optional[int] = None) -> list[int]:
-    """The integers of the comma list given to `option`, `length` of them
-    when set."""
+    """The integers of the comma list given to `option`, at least one, and
+    `length` of them when set."""
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
-        if length in (None, len(values)):
+        if values and length in (None, len(values)):
             return values
     except ValueError:
         pass
@@ -158,7 +157,7 @@ def _cmd_cf(args) -> tuple[str, int]:
         "preperiod": pre,
         "period": per,
         "terminates": alpha.terminates,
-        "value": _enc_obj(enc),
+        "value": enc.to_obj(),
         "convergents": [
             {"n": n, "a": a, "p": p, "q": q, "parity": parity}
             for n, a, p, q, parity in table.rows()
@@ -185,7 +184,7 @@ def _cmd_gamma(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
     tau = parse_rat(args.tau)
     res, even, odd, quality_rows = _gamma_report(alpha, tau, args.depth, args.prec)
-    rows = [{"n": row.n, "q": row.q, "p": row.p, "enclosure": _enc_obj(row.enclosure)}
+    rows = [{"n": row.n, "q": row.q, "p": row.p, "enclosure": row.enclosure.to_obj()}
             for row in quality_rows]
     payload = {
         "alpha": alpha.spec(),
@@ -228,6 +227,8 @@ def _alpha_ticks(args, qmax: int):
 
 def _cmd_set(args) -> tuple[str, int]:
     gamma, tau = parse_rat(args.gamma), parse_rat(args.tau)
+    if args.alpha:  # only the svg ticks read it, but every format checks it
+        parse_alpha(args.alpha)
     if tau > 2 and args.format == "json":  # the bracket's outer set is the truncated set
         bracket = dioset.set_bracket(gamma, tau, args.qmax, args.prec)
         s, tail = bracket.outer, format_rat(bracket.tail_measure_bound)
@@ -307,7 +308,7 @@ def _cmd_bands(args) -> tuple[str, int]:
         payload["bands"] = [
             {
                 "q": b.q, "p": b.p, "N": b.n_quot,
-                "lo": _enc_obj(b.lo), "hi": _enc_obj(b.hi),
+                "lo": b.lo.to_obj(), "hi": b.hi.to_obj(),
                 "width_bound": format_rat(b.width_bound),
             }
             for b in band_records
@@ -319,7 +320,7 @@ def _cmd_bands(args) -> tuple[str, int]:
                                                   parse_rat(args.pinch_c),
                                                   args.prec, args.band_variant)
                 pinch.append({"q": b.q, "p": b.p, "N": b.n_quot,
-                              "lo": _enc_obj(lo), "hi": _enc_obj(hi),
+                              "lo": lo.to_obj(), "hi": hi.to_obj(),
                               "width_bound": format_rat(wb)})
             payload["pinch_bands"] = pinch
     if args.m is not None:
@@ -343,8 +344,11 @@ def _cmd_bands(args) -> tuple[str, int]:
 
 def _cmd_sweep(args) -> tuple[str, int]:
     tau = parse_rat(args.tau)
-    gammas = _rat_list(args.gamma_list) if args.gamma_list else [parse_rat(args.gamma)]
+    gammas = (_rat_list(args.gamma_list, "--gamma-list") if args.gamma_list
+              else [parse_rat(args.gamma)])
     qmaxes = _int_list(args.qmax_list, "--qmax-list") if args.qmax_list else [args.qmax]
+    if args.alpha:  # only the svg ticks read it, but every format checks it
+        parse_alpha(args.alpha)
     rows = []
     for gamma in gammas:
         for qmax in qmaxes:

@@ -12,7 +12,7 @@ Three kinds of input number are supported:
   asked for: memory O(depth), not O(period).
 * ``PrefixAlpha`` — a finite list of known quotients plus an interval
   [tail_low, tail_high] asserted to contain EVERY tail value at or beyond the
-  end of the prefix (the weakest sound default is [1, inf)).
+  end of the prefix; ``tail_high=None`` (the default) asserts no upper bound.
 
 Every kind answers the same questions, so no other module tests the kind:
 
@@ -22,7 +22,9 @@ Every kind answers the same questions, so no other module tests the kind:
 * ``quotients_to(stop)`` — a_0 .. a_{stop-1}, cut short where a rational
   ends or a prefix runs out.
 * ``tail(n)`` — alpha_n = [a_n; a_{n+1}, ...] as a ``Real``: exact, except
-  for a prefix, where it is the image of [tail_low, tail_high].
+  for a prefix, where it is the image of [tail_low, tail_high].  Past the end
+  of a prefix without ``tail_high`` it raises ``InsufficientDataError``, as no
+  bounded enclosure exists there.
 * ``real()``, ``reflect()`` (1 - alpha, same kind) and ``spec()`` (CLI form).
 * ``depth_used(depth)`` — the deepest row a bracket reads: the last row of a
   rational, at least the preperiod of a quadratic, at most a prefix's end.
@@ -286,6 +288,9 @@ class PrefixAlpha:
     def tail(self, n: int) -> Real:
         lo, hi = self.tail_low, self.tail_high
         if n >= len(self.quotients):
+            if hi is None:
+                raise InsufficientDataError(f"prefix holds {len(self.quotients)} quotients "
+                                            f"and no tail bound, requested tail {n}")
             # asserted bound on every tail at or beyond the prefix end
             return Real.from_interval(lo, hi)
         pk, pk1, qk, qk1 = _mobius_of_word(self.quotients[n:])

@@ -179,7 +179,7 @@ def fractions_in_interval(lo: Fraction, hi: Fraction, max_den: int,
 # Exclusion radii and truncated sets
 # ---------------------------------------------------------------------------
 
-def exclusion_radius(q: int, gamma: Fraction, tau: Fraction, rounding: str = "exact",
+def exclusion_radius(q: int, gamma: Fraction, tau: Fraction, rounding: str,
                      bits: int = DEFAULT_PRECISION) -> Fraction:
     """gamma / q^(tau+1); exact for integer tau, otherwise rounded down
     ("inner": sound when building outer set approximations) or up ("outer":
@@ -187,9 +187,8 @@ def exclusion_radius(q: int, gamma: Fraction, tau: Fraction, rounding: str = "ex
     gamma, tau = Fraction(gamma), Fraction(tau)
     if q < 1:
         raise DomainError("q must be >= 1")
-    if rounding not in ("inner", "outer") and (rounding, tau.denominator) != ("exact", 1):
-        raise DomainError(f"rounding must be 'inner' or 'outer' (or 'exact' at integer "
-                          f"tau), got {rounding!r}")
+    if rounding not in ("inner", "outer"):
+        raise DomainError(f"rounding must be 'inner' or 'outer', got {rounding!r}")
     lo, hi = power_bounds(q, tau + 1, bits)
     return gamma / (hi if rounding == "inner" else lo)
 

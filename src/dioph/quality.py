@@ -37,6 +37,7 @@ from .arith import (
 from .contfrac import (
     AlphaSpec,
     ConvergentTable,
+    InsufficientDataError,
     convergents,
     tail_real,
 )
@@ -348,10 +349,7 @@ def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
     if qmax < 1:
         raise DomainError("Qmax must be >= 1")
     real = alpha.real()
-    a_enc = real.enclose(precision)
-    if a_enc.lo is None or a_enc.hi is None:
-        raise DomainError("alpha enclosure must be bounded for brute force")
-    scan = _Scan(a_enc, tau, qmax)
+    scan = _Scan(real.enclose(precision), tau, qmax)
     if real.exact is not None and (tau.denominator == 1 or isinstance(real.exact, Fraction)):
         return _exact_scan(real.exact, tau, scan, precision)
     best_hi: Optional[Fraction] = None
@@ -378,8 +376,7 @@ def _check_unit_interval(alpha: AlphaSpec) -> None:
         in_range = 0 < r.exact < 1
     else:
         enc = r.enclose(128)
-        in_range = enc.lo is not None and enc.hi is not None and \
-            enc.lo > 0 and enc.hi < 1
+        in_range = enc.lo > 0 and enc.hi < 1
     if not in_range:
         raise DomainError("alpha must lie in the open unit interval")
 
@@ -477,8 +474,9 @@ def tau_bounds(alpha: AlphaSpec, depth: int) -> tuple[Fraction, Optional[Fractio
     """Bracket on the Diophantine exponent from observed q_{n+1} vs q_n^t growth.
 
     Bounded partial quotients (quadratics, bounded-tail prefixes) give the
-    exact (1, 1).  Unbounded prefixes return the largest observed exponent as
-    a rational lower estimate and an unbounded upper end (None = infinity).
+    exact (1, 1).  Unbounded prefixes, whose tail past the end is undefined,
+    return the largest observed exponent as a rational lower estimate and an
+    unbounded upper end (None = infinity).
     """
     if depth < 2:
         raise DomainError("depth must be >= 2")
@@ -486,9 +484,13 @@ def tau_bounds(alpha: AlphaSpec, depth: int) -> tuple[Fraction, Optional[Fractio
         raise DomainError("rational numbers have no Diophantine exponent "
                           "(the quality infimum vanishes for every tau)")
     # an infinite exact expansion is periodic; a prefix has bounded quotients
-    # when its asserted tail bound is finite
-    if alpha.length is None or alpha.tail(alpha.length).enclose(64).hi is not None:
+    # when it bounds its tails, so that its tail past the end is defined
+    try:
+        if alpha.length is not None:
+            alpha.tail(alpha.length)
         return Fraction(1), Fraction(1)
+    except InsufficientDataError:
+        pass
     quotients = alpha.quotients_to(depth + 1)
     table = convergents(quotients)
     best = Fraction(1)

@@ -68,6 +68,8 @@ def _gap(triple: tuple[int, int, int], gamma: Fraction, tau: Fraction, strict: b
         raise DomainError("denominators must be positive")
     if gamma <= 0:
         raise DomainError("gamma must be positive")
+    if tau < 1:
+        raise DomainError("tau must be >= 1")
     c = clearance(q_n, q_n1, q_n2, tau, strict)
     sign = cmp_certified(c * gamma, 1 - Fraction(q_n, q_n2), precision)
     verdict = UNRESOLVED if sign is None else (HOLDS if sign < 0 else FAILS)

@@ -52,7 +52,7 @@ from dioph.quality import (
 # ---------------------------------------------------------------------------
 
 def excluded_interval(p: int, q: int, gamma: Fraction, tau: Fraction,
-                      rounding: str = "exact", bits: int = DEFAULT_PRECISION
+                      rounding: str = "outer", bits: int = DEFAULT_PRECISION
                       ) -> tuple[Fraction, Fraction]:
     """Open interval around p/q removed by the constraint at denominator q."""
     if q < 1 or p < 0 or p > q or math.gcd(p, q) != 1:

@@ -12,8 +12,10 @@ from dioph.arith import (
     DomainError,
     Quad,
     Real,
+    RealEnclosure,
     cmp_certified,
     enc_intersect,
+    enc_inv,
     exact_cmp,
     format_rat,
     iroot,
@@ -429,3 +431,9 @@ def test_enclosure_intersection_detects_disagreement():
     b = RealEnclosure(F(2), F(3), 64)
     with pytest.raises(InternalConsistencyError):
         enc_intersect(a, b)
+
+
+def test_dividing_by_an_enclosure_containing_zero_raises():
+    with pytest.raises(DomainError, match=r"containing 0 at 64 bits: \[-1/2, 1\]"):
+        enc_inv(RealEnclosure(F(-1, 2), F(1), 64))
+    assert enc_inv(RealEnclosure(F(-2), F(-1, 2), 8)) == RealEnclosure(F(-2), F(-1, 2), 8)

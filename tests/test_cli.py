@@ -326,6 +326,24 @@ def test_bad_options_name_the_option(capsys):
             "depth budget (--budget) must be >= 1",
         ("cf", "--alpha", "quad:-1,5,2", "--depth", "2", "--prec=0"):
             "precision (--prec) must be >= 1, got 0",
+        ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "0", "--depth", "3"):
+            "tau must be >= 1",
+        ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau=-3"):
+            "tau must be >= 1",
+        ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "1/2"):
+            "tau must be >= 1",
+        ("sweep", "--tau", "4", "--qmax-list", ",", "--format", "svg"):
+            "--qmax-list expects a comma list of integers, got ','",
+        ("sweep", "--tau", "4", "--gamma-list", ",", "--format", "svg"):
+            "--gamma-list expects a comma list of rationals, got ','",
+        ("set", "--gamma", "1/10", "--tau", "4", "--qmax", "3", "--alpha", "bogus"):
+            "unknown alpha spec 'bogus' (use rat:, quad:, cf:)",
+        ("sweep", "--tau", "4", "--qmax-list", "3", "--format", "csv", "--alpha", "bogus"):
+            "unknown alpha spec 'bogus' (use rat:, quad:, cf:)",
+        ("bands", "--tau", "4", "--band", "2,3,4", "--pinch-c=-1"):
+            "pinch constant c (--pinch-c) must be positive, got -1",
+        ("bands", "--tau", "4", "--band", "2,3,4", "--pinch-c", "0"):
+            "pinch constant c (--pinch-c) must be positive, got 0",
     }
     for argv, message in requests.items():
         assert run(list(argv)) == 1

@@ -108,8 +108,8 @@ def test_tails_quadratic_exact():
 
 def test_tail_prefix_bounds():
     a = PrefixAlpha((0, 2, 2))
-    t = tail(a, 3, 64)
-    assert t.enclosure.lo == F(1) and t.enclosure.hi is None
+    with pytest.raises(InsufficientDataError):  # no bounded enclosure past the end
+        tail(a, 3, 64)
     b = PrefixAlpha((0, 2, 2), tail_low=F(1), tail_high=F(3))
     t = tail(b, 5, 64)
     assert (t.enclosure.lo, t.enclosure.hi) == (F(1), F(3))

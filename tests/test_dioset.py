@@ -71,7 +71,7 @@ def test_point_set_agreement(rng):
 def test_endpoints_have_exclusion_form():
     gamma, tau, qmax = F(1, 10), F(4), 12
     s = truncated_set(gamma, tau, qmax)
-    radii = {q: exclusion_radius(q, gamma, tau) for q in range(1, qmax + 1)}
+    radii = {q: exclusion_radius(q, gamma, tau, "outer") for q in range(1, qmax + 1)}
     endpoints = {e for iv in s.intervals for e in iv}
     centers = {(p, q) for p, q in farey_sequence(qmax)}
     for e in endpoints:

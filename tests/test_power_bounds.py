@@ -63,11 +63,10 @@ def test_inner_radius_never_exceeds_outer(q, gamma, tau):
     inner = exclusion_radius(q, gamma, tau, "inner")
     outer = exclusion_radius(q, gamma, tau, "outer")
     assert inner <= outer
-    if tau.denominator == 1:
-        assert inner == outer == exclusion_radius(q, gamma, tau) == gamma / q ** (tau + 1)
-    else:  # equal too when q^(tau+1) happens to be rational, as 4^(3/2)
-        with pytest.raises(DomainError):
-            exclusion_radius(q, gamma, tau)
+    if tau.denominator == 1:  # equal too when q^(tau+1) happens to be rational, as 4^(3/2)
+        assert inner == outer == gamma / q ** (tau + 1)
+    with pytest.raises(DomainError):  # "exact" is no rounding, at any tau
+        exclusion_radius(q, gamma, tau, "exact")
 
 
 @pytest.mark.parametrize("base", [F(0), F(-1, 2), -3])

@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dioph
-from dioph import quality
+from dioph import quality, topology
+from dioph.bands import gamma_band, pinch_band
 from dioph.contfrac import (
     PrefixAlpha,
     QuadraticAlpha,
@@ -237,5 +238,53 @@ def test_only_arith_names_exact_cmp():
             else:
                 names = _names(node) if isinstance(node, (ast.Name, ast.Attribute)) else set()
             if "cmp_to_key" in names or ("exact_cmp" in names and path.name != "arith.py"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+@st.composite
+def bounded_or_not(draw):
+    """alphas(), a prefix among them with a tail bound half of the time."""
+    alpha = draw(alphas())
+    if isinstance(alpha, PrefixAlpha) and draw(st.booleans()):
+        return PrefixAlpha(alpha.quotients, F(1), F(draw(st.integers(1, 12))))
+    return alpha
+
+
+def _bounded(lo, hi) -> bool:
+    return type(lo) is F and type(hi) is F and lo <= hi
+
+
+@given(bounded_or_not(), st.sampled_from([F(1), F(3, 2), F(2), F(5, 2), F(7, 2), F(4)]),
+       st.sampled_from([F(1, 20), F(1, 10), F(1, 4)]), st.integers(1, 8),
+       st.integers(1, 30), st.integers(1, 30), st.integers(1, 5))
+def test_enclosures_at_low_precision_are_bounded(alpha, tau, gamma, precision, q, p, n_quot):
+    """At 1 to 8 bits gamma_of, gap_report, gamma_band and pinch_band divide
+    by no enclosure containing 0 (which raises), and every enclosure they
+    return has two Fraction ends in order."""
+    res = quality.gamma_of(alpha, tau, 10, precision)
+    assert _bounded(res.lower, res.upper)
+    encs = [row.enclosure for row in quality._gamma_report(alpha, tau, 10, precision)[3]]
+    for n in range(len(alpha.quotients_to(6)) - 2):
+        rep = topology.gap_report(alpha, gamma, tau, n, precision)
+        encs += [t for t in (rep.threshold, rep.threshold_strict) if t is not None]
+    if tau > 1:  # the domain of gamma_band
+        band = gamma_band(q, p, n_quot, tau, precision)
+        encs += [band.lo, band.hi]
+    encs += pinch_band(q, p, n_quot, tau, F(1, 4), precision)[:2]
+    assert all(_bounded(e.lo, e.hi) for e in encs)
+
+
+def test_no_module_compares_an_enclosure_end_with_none():
+    """Every enclosure is bounded: no module compares a ``.lo`` or ``.hi``
+    with None."""
+    found = []
+    for path in sorted(Path(dioph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Attribute) and o.attr in ("lo", "hi") for o in operands)
+                    and any(isinstance(o, ast.Constant) and o.value is None for o in operands)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -105,7 +105,7 @@ def test_huge_gamma_enumerates_only_the_centers_next_to_the_window(monkeypatch, 
        xs=st.lists(st.builds(F, st.integers(0, 997), st.just(997)), max_size=20))
 def test_membership_matches_the_definition(gamma, tau, qmax, xs):
     s = truncated_set(gamma, tau, qmax)
-    boundary = [F(p, q) + sign * exclusion_radius(q, gamma, tau)
+    boundary = [F(p, q) + sign * exclusion_radius(q, gamma, tau, "outer")
                 for q in range(1, qmax + 1) for p in range(q + 1)
                 if math.gcd(p, q) == 1 for sign in (-1, 1)]
     for x in xs + [x for x in boundary if 0 <= x <= 1]:

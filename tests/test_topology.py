@@ -501,3 +501,19 @@ def test_quotient_growth_table():
         assert ok in (HOLDS, FAILS)
         within = F(a_next) <= bound.hi
         assert within == (ok == HOLDS)
+
+
+@pytest.mark.parametrize("tau", [F(0), F(-3), F(1, 2)])
+def test_gap_conditions_reject_tau_below_one(tau):
+    gamma = F(1, 10)
+    calls = [
+        lambda: check_gap(GOLDEN, gamma, tau, 0),
+        lambda: check_gap_strict(GOLDEN, gamma, tau, 0),
+        lambda: gap_threshold(1, 2, 3, gamma, tau),
+        lambda: gap_threshold_strict(1, 2, 3, gamma, tau),
+        lambda: gap_report(GOLDEN, gamma, tau, 0),
+        lambda: quotient_growth_table(GOLDEN, gamma, tau, 6, F(1, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^tau must be >= 1$"):
+            call()

@@ -8,14 +8,18 @@ that tree's ``src`` first on ``sys.path``.  The list holds
 
 * N command-line requests: every command with every ``--format`` it accepts;
   rational, quadratic (denominators of both signs) and ``cf:`` alphas;
-  integer and fractional tau; and error paths (census windows below 0 and
-  at ``--n`` below 0, ``gaps`` at gamma <= 0 or ``--depth`` below 2,
-  ``--nmax 0``, ``--checkpoints`` and ``--budget`` below 1, ``--prec``
-  below 1, malformed ``--band``, ``--checkpoints`` and ``--qmax-list``
-  lists, bad specs and flags, a bad ``DIOPH_PRECISION_CAP``);
+  integer and fractional tau; precisions down to 1 bit, where a division
+  meets an enclosure containing 0 soonest; and error paths (census windows
+  below 0 and at ``--n`` below 0, ``gaps`` at gamma <= 0, tau below 1 or
+  ``--depth`` below 2, ``--nmax 0``, ``--checkpoints`` and ``--budget``
+  below 1, ``--prec`` below 1, ``--pinch-c`` at most 0, malformed
+  ``--band``, ``--checkpoints`` and ``--qmax-list`` lists, empty
+  ``--qmax-list`` and ``--gamma-list`` lists, ``set`` and ``sweep`` JSON
+  with a malformed ``--alpha``, bad specs and flags, a bad
+  ``DIOPH_PRECISION_CAP``);
 * ``BF_CALLS`` calls of ``brute_force_gamma`` on seeded rational, quadratic
   and prefix alphas (a third each; prefixes with and without a tail bound)
-  over nine taus, Qmax <= 600 and precision 8, 32, 64 or 256;
+  over nine taus, Qmax <= 600 and precision 1, 4, 8, 32, 64 or 256;
 * the ``bf`` requests among the first ``SCAN_REQUESTS`` requests of the
   benchmark's ``scan`` workload (``bench/workloads.py`` of the head tree) for
   each seed of ``SCAN_SEEDS``.
@@ -45,7 +49,7 @@ from unittest import mock
 
 TAUS = ("1", "3/2", "2", "5/2", "3", "7/2", "4", "9/2", "11/3")
 GAMMAS = ("1/20", "1/10", "1/8", "1/6", "1/4", "1/3", "0.05")
-PRECS = ("8", "32", "64", "256")
+PRECS = ("1", "4", "8", "32", "64", "256")
 BF_CALLS = 360
 SCAN_SEEDS = range(1, 7)
 SCAN_REQUESTS = 160
@@ -171,6 +175,13 @@ def cli_request(rng: random.Random) -> dict:
              "--budget=" + rng.choice(("0", "-1", "-3"))],
             ["cf", "--alpha", any_alpha(rng), "--depth", "3",
              "--prec=" + rng.choice(("0", "-8"))],
+            ["gaps", "--alpha", any_alpha(rng), "--gamma", gamma,
+             "--tau=" + rng.choice(("0", "-3", "1/2"))],
+            ["sweep", "--tau", tau, rng.choice(("--qmax-list", "--gamma-list")), ",",
+             "--format", rng.choice(("json", "csv", "svg"))],
+            [*rng.choice((["set", "--gamma", gamma, "--qmax", "5"], ["sweep"])), "--tau", tau,
+             "--alpha", rng.choice(("bogus", "quad:1,4,2", "cf:[0;]"))],
+            ["bands", "--tau", tau, "--band", "2,3,4", "--pinch-c=" + rng.choice(("0", "-1"))],
         ))
         return {"kind": "cli", "argv": argv, "env": {}}
     env = {}
