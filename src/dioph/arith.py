@@ -1,16 +1,19 @@
 """Exact rationals, quadratic surds, and certified real enclosures.
 
-All quantities in this package are either exact (``Fraction``, ``Quad``) or
-carried as a :class:`RealEnclosure`, a closed interval between two rationals
-guaranteed to contain the exact real value and refinable to any precision.
-Every enclosure is bounded: dividing by one that contains 0 raises
-:class:`DomainError`, and a prefix without a tail bound raises rather than
-enclose a tail past its end.  :func:`exact_cmp` is the one order on exact
-values, and it implements a ``Quad``'s operators: its ``==``, hash, order and
-printed form are its value's, whatever radicand stores it.  Comparisons of
-possibly-irrational quantities go through :func:`cmp_certified`, which refines
-both sides on a doubling precision ladder and never reports an order it cannot
-prove.
+Every exact quantity in this package is a ``Fraction`` or a ``Quad`` and is
+used as itself.  A value that is known only by enclosures (a prefix tail, an
+irrational power, or an expression containing one) is a :class:`Real`, which
+gives a :class:`RealEnclosure`, a closed interval between two rationals
+guaranteed to contain the value, at any requested precision.  :func:`enclose`
+encloses any value: a rational's enclosure is the point itself.  Enclosures
+carry the interval operators, and every enclosure is bounded: dividing by one
+that contains 0 raises :class:`DomainError`, and a prefix without a tail bound
+raises rather than enclose a tail past its end.  :func:`exact_cmp` is the one
+order on exact values, and it implements a ``Quad``'s operators: its ``==``,
+hash, order and printed form are its value's, whatever radicand stores it.
+Comparisons with a ``Real`` go through :func:`cmp_certified`, which refines
+both sides on a doubling precision ladder and never reports an order it
+cannot prove.
 """
 
 from __future__ import annotations
@@ -110,54 +113,43 @@ class RealEnclosure:
     def to_obj(self) -> dict:
         return {"lo": format_rat(self.lo), "hi": format_rat(self.hi), "bits": self.bits}
 
+    # -- interval operators (Moore): each result encloses every combination
+    # of points of its operands; a binary result has the coarser precision
 
-def enc_point(x: Fraction, bits: int) -> RealEnclosure:
-    return RealEnclosure(x, x, bits)
+    def __neg__(self) -> RealEnclosure:
+        return RealEnclosure(-self.hi, -self.lo, self.bits)
 
+    def __add__(self, other: RealEnclosure) -> RealEnclosure:
+        return RealEnclosure(self.lo + other.lo, self.hi + other.hi, min(self.bits, other.bits))
 
-def enc_neg(a: RealEnclosure) -> RealEnclosure:
-    return RealEnclosure(-a.hi, -a.lo, a.bits)
+    def __sub__(self, other: RealEnclosure) -> RealEnclosure:
+        return self + -other
 
+    def __mul__(self, other: RealEnclosure) -> RealEnclosure:
+        prods = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
+        return RealEnclosure(min(prods), max(prods), min(self.bits, other.bits))
 
-def enc_add(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
-    return RealEnclosure(a.lo + b.lo, a.hi + b.hi, min(a.bits, b.bits))
+    def __truediv__(self, other: RealEnclosure) -> RealEnclosure:
+        if other.lo <= 0 <= other.hi:
+            raise DomainError(f"division by an enclosure containing 0 at {other.bits} bits: "
+                              f"[{format_rat(other.lo)}, {format_rat(other.hi)}]")
+        return self * RealEnclosure(Fraction(1) / other.hi, Fraction(1) / other.lo, other.bits)
 
+    def __abs__(self) -> RealEnclosure:
+        if self.lo >= 0:
+            return self
+        if self.hi <= 0:
+            return -self
+        return RealEnclosure(Fraction(0), max(-self.lo, self.hi), self.bits)
 
-def enc_sub(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
-    return enc_add(a, enc_neg(b))
-
-
-def enc_mul(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
-    prods = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
-    return RealEnclosure(min(prods), max(prods), min(a.bits, b.bits))
-
-
-def enc_inv(a: RealEnclosure) -> RealEnclosure:
-    if a.lo <= 0 <= a.hi:
-        raise DomainError(f"division by an enclosure containing 0 at {a.bits} bits: "
-                          f"[{format_rat(a.lo)}, {format_rat(a.hi)}]")
-    return RealEnclosure(Fraction(1) / a.hi, Fraction(1) / a.lo, a.bits)
-
-
-def enc_div(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
-    return enc_mul(a, enc_inv(b))
-
-
-def enc_abs(a: RealEnclosure) -> RealEnclosure:
-    if a.lo >= 0:
-        return a
-    if a.hi <= 0:
-        return enc_neg(a)
-    return RealEnclosure(Fraction(0), max(-a.lo, a.hi), a.bits)
-
-
-def enc_intersect(a: RealEnclosure, b: RealEnclosure) -> RealEnclosure:
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo > hi:
-        raise InternalConsistencyError(
-            f"disjoint enclosures [{a.lo},{a.hi}] and [{b.lo},{b.hi}]"
-        )
-    return RealEnclosure(lo, hi, max(a.bits, b.bits))
+    def __and__(self, other: RealEnclosure) -> RealEnclosure:
+        """The intersection, which holds the one value both enclose."""
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if lo > hi:
+            raise InternalConsistencyError(
+                f"disjoint enclosures [{self.lo},{self.hi}] and [{other.lo},{other.hi}]"
+            )
+        return RealEnclosure(lo, hi, max(self.bits, other.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -442,64 +434,49 @@ def weighted_cmp(v1: Fraction, q1: int, v2: Fraction, q2: int, k: Fraction) -> i
     return (lhs > rhs) - (lhs < rhs)
 
 
-def _exact_binop(x: ExactValue, y: ExactValue, op) -> Optional[ExactValue]:
-    """op(x, y) computed exactly, or None when x and y share no field."""
-    try:
-        return op(x, y)
-    except TypeError:
-        # incompatible exact fields (e.g. distinct discriminants)
-        return None
-
-
 # ---------------------------------------------------------------------------
-# Certified real values
+# Values known by enclosures
 # ---------------------------------------------------------------------------
+
+def _operators(op):
+    """The operator of a Real for `op` and its reflection: each applies `op`
+    to the enclosures of its two sides at the requested precision."""
+    return (lambda x, y: _lift(op, x, y)), (lambda x, y: _lift(op, y, x))
+
 
 class Real:
-    """A real number that can be enclosed at any requested precision.
+    """A real number known only through its enclosures, at any precision: a
+    prefix tail, an irrational power, or an expression that contains one.
 
-    Carries the exact value alongside when one exists (rational or quadratic
-    surd); arithmetic stays exact whenever the operands live in a common
-    field and falls back to interval evaluation otherwise.
+    Exact values are never wrapped: they are Fractions and Quads, and an
+    operator with one of them on either side encloses it by :func:`enclose`.
     """
 
-    __slots__ = ("exact", "_fn")
+    __slots__ = ("_fn",)
 
-    def __init__(self, fn: Callable[[int], RealEnclosure], exact: Optional[ExactValue] = None):
+    def __init__(self, fn: Callable[[int], RealEnclosure]):
         self._fn = fn
-        self.exact = exact
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_exact(x: Union[int, Fraction, Quad, "Real"]) -> "Real":
-        if isinstance(x, Real):
-            return x
-        if isinstance(x, int):
-            x = Fraction(x)
-        if isinstance(x, Fraction):
-            return Real(lambda bits, v=x: enc_point(v, bits), exact=x)
-        if isinstance(x, Quad):
-            return Real(lambda bits, v=x: v.enclose(bits), exact=x)
-        raise TypeError(f"cannot build Real from {type(x)!r}")
 
     @staticmethod
     def from_interval(lo: Fraction, hi: Fraction) -> "Real":
         return Real(lambda bits: RealEnclosure(lo, hi, bits))
 
     @staticmethod
-    def power(base: Fraction, exponent: Fraction) -> "Real":
-        """base ** exponent, exact for integer exponents."""
+    def power(base: Fraction, exponent: Fraction) -> Union[Fraction, "Real"]:
+        """base ** exponent: a Fraction whenever it is rational (an integer
+        exponent, or a perfect root), else a Real."""
         base, exponent = Fraction(base), Fraction(exponent)
         if base <= 0:
             raise DomainError("power base must be positive")
         if exponent.denominator == 1:
-            return Real.from_exact(base ** int(exponent))
+            return base ** int(exponent)
         x = base ** exponent.numerator  # exact rational
         v = exponent.denominator
         rn, rd = iroot(x.numerator, v), iroot(x.denominator, v)
         if rn ** v == x.numerator and rd ** v == x.denominator:
-            return Real.from_exact(Fraction(rn, rd))
+            return Fraction(rn, rd)
 
         a_len = x.numerator.bit_length()
         b_len = x.denominator.bit_length()
@@ -519,50 +496,33 @@ class Real:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _binary(self, other, op, enc_op) -> "Real":
-        o = Real.from_exact(other)
-        if self.exact is not None and o.exact is not None:
-            exact = _exact_binop(self.exact, o.exact, op)
-            if exact is not None:
-                return Real.from_exact(exact)
-        return Real(lambda bits: enc_op(self.enclose(bits), o.enclose(bits)))
-
-    def __add__(self, other):
-        return self._binary(other, operator.add, enc_add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, operator.sub, enc_sub)
-
-    def __rsub__(self, other):
-        return Real.from_exact(other)._binary(self, operator.sub, enc_sub)
-
-    def __mul__(self, other):
-        return self._binary(other, operator.mul, enc_mul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, operator.truediv, enc_div)
-
-    def __rtruediv__(self, other):
-        return Real.from_exact(other)._binary(self, operator.truediv, enc_div)
+    __add__, __radd__ = _operators(operator.add)
+    __sub__, __rsub__ = _operators(operator.sub)
+    __mul__, __rmul__ = _operators(operator.mul)
+    __truediv__, __rtruediv__ = _operators(operator.truediv)
 
     def __neg__(self):
-        if self.exact is not None:
-            return Real.from_exact(-self.exact)
-        return Real(lambda bits: enc_neg(self.enclose(bits)))
+        return Real(lambda bits: -self._fn(bits))
 
     def __abs__(self):
-        if self.exact is not None:
-            return Real.from_exact(abs(self.exact))
-        return Real(lambda bits: enc_abs(self.enclose(bits)))
+        return Real(lambda bits: abs(self._fn(bits)))
 
     def __repr__(self):
-        if self.exact is not None:
-            return f"Real({self.exact!r})"
         return f"Real({self.enclose(DEFAULT_BITS)})"
+
+
+Value = Union[Fraction, Quad, Real]
+
+
+def enclose(x: Union[int, Value], bits: int) -> RealEnclosure:
+    """An enclosure of any value at `bits`; a rational's is the point itself."""
+    if isinstance(x, (int, Fraction)):
+        return RealEnclosure(Fraction(x), Fraction(x), bits)
+    return x.enclose(bits)
+
+
+def _lift(op, x: Union[int, Value], y: Union[int, Value]) -> Real:
+    return Real(lambda bits: op(enclose(x, bits), enclose(y, bits)))
 
 
 def power_bounds(base: RatLike, exponent: RatLike, bits: int) -> tuple[Fraction, Fraction]:
@@ -578,7 +538,7 @@ def power_bounds(base: RatLike, exponent: RatLike, bits: int) -> tuple[Fraction,
     if exponent.denominator == 1:
         v = base ** exponent.numerator
         return v, v
-    enc = Real.power(base, exponent).enclose(bits)
+    enc = enclose(Real.power(base, exponent), bits)
     return enc.lo, enc.hi
 
 
@@ -594,12 +554,11 @@ def cmp_certified(a, b, max_precision_bits: int = PRECISION_CAP) -> Optional[int
     unresolved; otherwise 0 is never returned, as enclosures can prove
     strict order only.
     """
-    ra, rb = Real.from_exact(a), Real.from_exact(b)
-    if ra.exact is not None and rb.exact is not None:
-        return exact_cmp(ra.exact, rb.exact)
+    if not isinstance(a, Real) and not isinstance(b, Real):
+        return exact_cmp(a, b)
     bits = min(DEFAULT_BITS, max_precision_bits)
     while True:  # doubling precisions up to the cap
-        ea, eb = ra.enclose(bits), rb.enclose(bits)
+        ea, eb = enclose(a, bits), enclose(b, bits)
         if ea.hi < eb.lo:
             return -1
         if eb.hi < ea.lo:

@@ -21,6 +21,7 @@ from .arith import (
     Quad,
     Real,
     RealEnclosure,
+    enclose,
     format_rat,
     power_bounds,
     power_sum_tail,
@@ -68,15 +69,21 @@ def gamma_band(q: int, p: int, n_quot: int, tau: Fraction,
     if tau <= 1:
         raise DomainError("tau must exceed 1")
     s = n_quot * p + q
-    one = Real.from_exact(Fraction(1) - Fraction(q, s))
+    one = 1 - Fraction(q, s)
     lo = one / clearance(q, p, s, tau, strict=True)
     hi = one / clearance(q, p, s, tau, strict=False)
-    wb = (Real.from_exact(Fraction(2)) * Real.power(Fraction(q), 2 * tau + 1)
-          / (Real.from_exact(Fraction(p)) * Real.power(Fraction(s), tau - 1)))
-    wb_enc = wb.enclose(precision)
+    wb = 2 * Real.power(Fraction(q), 2 * tau + 1) / (p * Real.power(Fraction(s), tau - 1))
     return BandRecord(q=q, p=p, n_quot=n_quot,
-                      lo=lo.enclose(precision), hi=hi.enclose(precision),
-                      width_bound=wb_enc.hi)
+                      lo=enclose(lo, precision), hi=enclose(hi, precision),
+                      width_bound=enclose(wb, precision).hi)
+
+
+def pinch_constant(c: Fraction) -> Fraction:
+    """The constant c of the second band family, checked positive."""
+    c = Fraction(c)
+    if c <= 0:
+        raise DomainError(f"pinch constant c (--pinch-c) must be positive, got {format_rat(c)}")
+    return c
 
 
 def pinch_band(q: int, p: int, n_quot: int, tau: Fraction, c: Fraction,
@@ -88,20 +95,20 @@ def pinch_band(q: int, p: int, n_quot: int, tau: Fraction, c: Fraction,
     variant="q" computes the literal alternative center q^tau / (q + N/q);
     the default follows the derivation, where p plays q_{n+1}.
     """
-    tau, c = Fraction(tau), Fraction(c)
+    tau = Fraction(tau)
     if min(q, p) < 1 or n_quot < 1:
         raise DomainError("q, p, N must be >= 1")
-    if c <= 0:
-        raise DomainError(f"pinch constant c (--pinch-c) must be positive, got {format_rat(c)}")
+    if tau <= 1:
+        raise DomainError("tau must exceed 1")
+    c = pinch_constant(c)
     if variant not in ("p", "q"):
         raise DomainError("variant must be 'p' or 'q'")
     anchor = Fraction(p) if variant == "p" else Fraction(q)
-    center = Real.power(Fraction(q), tau) / Real.from_exact(anchor + Fraction(n_quot, q))
+    center = Real.power(Fraction(q), tau) / (anchor + Fraction(n_quot, q))
     e = 2 * tau * tau - tau - 1
-    width = Real.from_exact(c) / Real.power(Fraction(q), e)
-    lo = center - width
-    w_enc = width.enclose(precision)
-    return lo.enclose(precision), center.enclose(precision), w_enc.hi
+    width = c / Real.power(Fraction(q), e)
+    return (enclose(center - width, precision), enclose(center, precision),
+            enclose(width, precision).hi)
 
 
 def series_exponents(tau: TauLike) -> tuple[TauLike, TauLike]:
@@ -271,4 +278,4 @@ def power_approx_margin(gamma: Fraction, tau: Fraction, k: Fraction, qmax: int,
         if best_v == 0:
             break
     value = Real.power(Fraction(best[0]), k) * best_v
-    return value.enclose(precision), best
+    return enclose(value, precision), best

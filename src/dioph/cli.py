@@ -36,6 +36,7 @@ from .arith import (
     DomainError,
     InternalConsistencyError,
     PRECISION_CAP,
+    enclose,
     format_rat,
     parse_rat,
 )
@@ -50,7 +51,7 @@ from .svgplot import render_svg
 
 # part of every cache key: raise it when the output of a request can change,
 # so an entry written by an older program is a miss and is rewritten
-CACHE_FORMAT = 6
+CACHE_FORMAT = 7
 
 
 def _cap() -> int:
@@ -150,7 +151,7 @@ def _cmd_cf(args) -> tuple[str, int]:
     pre = per = None
     if alpha.length is None:
         pre, per = cf_cycle(alpha)
-    enc = alpha.real().enclose(args.prec)
+    enc = enclose(alpha.real(), args.prec)
     payload = {
         "alpha": alpha.spec(),
         "quotients": quotients,
@@ -313,16 +314,17 @@ def _cmd_bands(args) -> tuple[str, int]:
             }
             for b in band_records
         ]
-        if args.pinch_c:
-            pinch = []
-            for b in band_records:
-                lo, hi, wb = bands_mod.pinch_band(b.q, b.p, b.n_quot, tau,
-                                                  parse_rat(args.pinch_c),
-                                                  args.prec, args.band_variant)
-                pinch.append({"q": b.q, "p": b.p, "N": b.n_quot,
-                              "lo": lo.to_obj(), "hi": hi.to_obj(),
-                              "width_bound": format_rat(wb)})
-            payload["pinch_bands"] = pinch
+    # checked with or without --band, once the bands it qualifies are built
+    pinch_c = None if args.pinch_c is None else bands_mod.pinch_constant(parse_rat(args.pinch_c))
+    if band_records and pinch_c is not None:
+        pinch = []
+        for b in band_records:
+            lo, hi, wb = bands_mod.pinch_band(b.q, b.p, b.n_quot, tau, pinch_c,
+                                              args.prec, args.band_variant)
+            pinch.append({"q": b.q, "p": b.p, "N": b.n_quot,
+                          "lo": lo.to_obj(), "hi": hi.to_obj(),
+                          "width_bound": format_rat(wb)})
+        payload["pinch_bands"] = pinch
     if args.m is not None:
         payload["union_measure"] = format_rat(
             bands_mod.bands_union_measure(tau, parse_rat(args.c1), parse_rat(args.c2),

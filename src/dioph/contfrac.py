@@ -21,10 +21,10 @@ Every kind answers the same questions, so no other module tests the kind:
   ``None`` (unknown) for a prefix.
 * ``quotients_to(stop)`` — a_0 .. a_{stop-1}, cut short where a rational
   ends or a prefix runs out.
-* ``tail(n)`` — alpha_n = [a_n; a_{n+1}, ...] as a ``Real``: exact, except
-  for a prefix, where it is the image of [tail_low, tail_high].  Past the end
-  of a prefix without ``tail_high`` it raises ``InsufficientDataError``, as no
-  bounded enclosure exists there.
+* ``tail(n)`` — alpha_n = [a_n; a_{n+1}, ...]: a ``Fraction`` for a rational,
+  a ``Quad`` for a quadratic, and for a prefix a ``Real``, the image of
+  [tail_low, tail_high].  Past the end of a prefix without ``tail_high`` it
+  raises ``InsufficientDataError``, as no bounded enclosure exists there.
 * ``real()``, ``reflect()`` (1 - alpha, same kind) and ``spec()`` (CLI form).
 * ``depth_used(depth)`` — the deepest row a bracket reads: the last row of a
   rational, at least the preperiod of a quadratic, at most a prefix's end.
@@ -48,6 +48,7 @@ from .arith import (
     DomainError,
     Quad,
     Real,
+    Value,
     _floor_quad_int,
     _square_free_split,
     _surd_sign,
@@ -89,14 +90,14 @@ class RationalAlpha:
     def quotients_to(self, stop: int) -> list[int]:
         return list(self._quotients[:stop])
 
-    def tail(self, n: int) -> Real:
+    def tail(self, n: int) -> Fraction:
         qs = self._quotients
         if n >= len(qs):
             raise UndefinedTailError(f"rational expansion has {len(qs)} quotients")
-        return Real.from_exact(value_of(qs[n:]))
+        return value_of(qs[n:])
 
-    def real(self) -> Real:
-        return Real.from_exact(self.value)
+    def real(self) -> Fraction:
+        return self.value
 
     def reflect(self) -> RationalAlpha:
         return RationalAlpha(1 - self.value)
@@ -163,11 +164,10 @@ class QuadraticAlpha:
     def quotients_to(self, stop: int) -> list[int]:
         return [self._state(n)[2] for n in range(stop)]
 
-    def tail(self, n: int) -> Real:
-        return Real.from_exact(self._surd(*self._state(n)[:2]))
+    def tail(self, n: int) -> Quad:
+        return self._surd(*self._state(n)[:2])
 
-    def real(self) -> Real:
-        return Real.from_exact(self.value())
+    real = value
 
     def reflect(self) -> QuadraticAlpha:
         # 1 - (P + sqrt(D))/Q = ((P - Q) + sqrt(D)) / (-Q)
@@ -488,8 +488,9 @@ def _mobius_of_word(quotients: Sequence[int]) -> tuple[int, int, int, int]:
 # Tails
 # ---------------------------------------------------------------------------
 
-def tail_real(alpha: AlphaSpec, n: int) -> Real:
-    """The tail value alpha_n = [a_n; a_{n+1}, ...] as a certified real."""
+def tail_real(alpha: AlphaSpec, n: int) -> Value:
+    """The tail value alpha_n = [a_n; a_{n+1}, ...]: a Fraction for a rational,
+    a Quad for a quadratic, a Real for a prefix."""
     if n < 0:
         raise DomainError("tail index must be >= 0")
     return alpha.tail(n)

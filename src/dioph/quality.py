@@ -28,9 +28,10 @@ from .arith import (
     InternalConsistencyError,
     Real,
     RealEnclosure,
+    Value,
     _floor_quad_int,
     _surd_sign,
-    enc_intersect,
+    enclose,
     integer_form,
     power_bounds,
 )
@@ -95,7 +96,7 @@ class MembershipVerdict:
 # ---------------------------------------------------------------------------
 
 def _row_reals(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int
-               ) -> tuple[Real, Optional[Real]]:
+               ) -> tuple[Value, Optional[Value]]:
     """Direct-route and tail-route values of row n (tail route None at the
     final row of a terminating expansion)."""
     qn, pn = table.denom(n), table.numer(n)
@@ -111,15 +112,16 @@ def _row_reals(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int
 def _row(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int,
          precision: int) -> QualityRow:
     direct, fond = _row_reals(alpha, tau, table, n)
-    enc = direct.enclose(precision)
-    exact = direct.exact
+    enc = enclose(direct, precision)
+    exact = None if isinstance(direct, Real) else direct
     if fond is not None:
-        enc = enc_intersect(enc, fond.enclose(precision))
+        enc = enc & enclose(fond, precision)
+        other = None if isinstance(fond, Real) else fond
         if exact is None:
-            exact = fond.exact
-        elif fond.exact is not None and exact != fond.exact:
+            exact = other
+        elif other is not None and exact != other:
             raise InternalConsistencyError(
-                f"quality routes disagree at n={n}: {exact!r} vs {fond.exact!r}"
+                f"quality routes disagree at n={n}: {exact!r} vs {other!r}"
             )
     return QualityRow(n=n, q=table.denom(n), p=table.numer(n), enclosure=enc, exact=exact)
 
@@ -176,7 +178,7 @@ class _GammaRows:
         if any(r.exact is None for r in rows):
             return (None,) + _enclosure_minimum(rows)
         vmin = min(r.exact for r in rows)
-        enc = Real.from_exact(vmin).enclose(self.precision)
+        enc = enclose(vmin, self.precision)
         return vmin, enc.lo, enc.hi, tuple(r.n for r in rows if r.exact == vmin)
 
     def tail_floor(self, parity: Optional[int] = None) -> Optional[ExactValue]:
@@ -189,7 +191,7 @@ class _GammaRows:
             return None
         c, q = floor
         bound = Real.power(Fraction(q), self.tau - 1) * c
-        return bound.exact if bound.exact is not None else bound.enclose(self.precision).lo
+        return bound.enclose(self.precision).lo if isinstance(bound, Real) else bound
 
     def bracket(self, parity: Optional[int] = None) -> GammaResult:
         """Bracket of the infimum of the rows of that parity (of every row
@@ -198,7 +200,7 @@ class _GammaRows:
             return GammaResult(Fraction(0), Fraction(0), (), False, self.depth)
         _vmin, lo, hi, argmin = self.minimum(parity)
         floor = self.tail_floor(parity)
-        floor_lo = None if floor is None else Real.from_exact(floor).enclose(self.precision).lo
+        floor_lo = None if floor is None else enclose(floor, self.precision).lo
         certified = floor_lo is not None and floor_lo >= 0
         lower = max(min(lo, floor_lo), Fraction(0)) if certified else Fraction(0)
         return GammaResult(lower, hi, argmin, certified, self.depth)
@@ -329,7 +331,7 @@ def _exact_scan(v: ExactValue, tau: Fraction, scan: _Scan, precision: int
         if row == (0, 0):
             break
     value = Real.power(Fraction(best_q), tau) * abs(v * best_q - best_m)
-    return value.enclose(precision), best_q
+    return enclose(value, precision), best_q
 
 
 def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
@@ -349,9 +351,9 @@ def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
     if qmax < 1:
         raise DomainError("Qmax must be >= 1")
     real = alpha.real()
-    scan = _Scan(real.enclose(precision), tau, qmax)
-    if real.exact is not None and (tau.denominator == 1 or isinstance(real.exact, Fraction)):
-        return _exact_scan(real.exact, tau, scan, precision)
+    scan = _Scan(enclose(real, precision), tau, qmax)
+    if not isinstance(real, Real) and (tau.denominator == 1 or isinstance(real, Fraction)):
+        return _exact_scan(real, tau, scan, precision)
     best_hi: Optional[Fraction] = None
     per_q: list[tuple[int, Fraction]] = []  # (q, lower end of its value)
     for q, r, r_hi in scan:
@@ -372,11 +374,11 @@ def brute_force_gamma(alpha: AlphaSpec, tau: Fraction, qmax: int,
 
 def _check_unit_interval(alpha: AlphaSpec) -> None:
     r = alpha.real()
-    if r.exact is not None:
-        in_range = 0 < r.exact < 1
+    if isinstance(r, Real):
+        r = r.enclose(128)
+        in_range = r.lo > 0 and r.hi < 1
     else:
-        enc = r.enclose(128)
-        in_range = enc.lo > 0 and enc.hi < 1
+        in_range = 0 < r < 1
     if not in_range:
         raise DomainError("alpha must lie in the open unit interval")
 

@@ -21,7 +21,9 @@ from .arith import (
     DomainError,
     Real,
     RealEnclosure,
+    Value,
     cmp_certified,
+    enclose,
     format_rat,
     power_bounds,
     power_sum_tail,
@@ -39,7 +41,7 @@ UNRESOLVED = "unresolved"
 # Gap conditions
 # ---------------------------------------------------------------------------
 
-def clearance(q: int, p: int, s: int, tau: Fraction, strict: bool) -> Real:
+def clearance(q: int, p: int, s: int, tau: Fraction, strict: bool) -> Value:
     """p/q^tau + q*p/s^(tau+1), plus 2*q*p/s^(tau-1) when strict, for
     (q, p, s) playing (q_n, q_{n+1}, q_{n+2}); exact for integer tau.
 
@@ -49,10 +51,9 @@ def clearance(q: int, p: int, s: int, tau: Fraction, strict: bool) -> Real:
     (whose bracket is 1/gamma minus it) and the ends of a gamma band
     ((1 - q/s) over it) all read this one inequality.
     """
-    c = (Real.from_exact(Fraction(p)) / Real.power(Fraction(q), tau)
-         + Real.from_exact(Fraction(q * p)) / Real.power(Fraction(s), tau + 1))
+    c = p / Real.power(Fraction(q), tau) + q * p / Real.power(Fraction(s), tau + 1)
     if strict:
-        c = c + Real.from_exact(Fraction(2 * q * p)) / Real.power(Fraction(s), tau - 1)
+        c = c + 2 * q * p / Real.power(Fraction(s), tau - 1)
     return c
 
 
@@ -75,11 +76,11 @@ def _gap(triple: tuple[int, int, int], gamma: Fraction, tau: Fraction, strict: b
     verdict = UNRESOLVED if sign is None else (HOLDS if sign < 0 else FAILS)
     if not threshold:
         return verdict, None
-    bracket = Real.from_exact(1 / gamma) - c
+    bracket = 1 / gamma - c
     if cmp_certified(bracket, Fraction(0), precision) != 1:
         return verdict, None
     ratio = Fraction(q_n, q_n1)
-    return verdict, (Real.from_exact(ratio / gamma) / bracket - ratio).enclose(precision)
+    return verdict, enclose(ratio / gamma / bracket - ratio, precision)
 
 
 def _triple(table: ConvergentTable, n: int) -> tuple[int, int, int]:
@@ -277,7 +278,7 @@ def quotient_growth_table(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
         if _gap(_triple(table, n), gamma, tau, False, precision, False)[0] != FAILS:
             continue
         bound = Real.power(Fraction(table.denom(n)), 2 + eps) * c
-        enc = bound.enclose(precision)
+        enc = enclose(bound, precision)
         sign = cmp_certified(Fraction(table.a(n + 2)), bound, precision)
         ok = UNRESOLVED if sign is None else (HOLDS if sign <= 0 else FAILS)
         rows.append((n, table.a(n + 2), enc, ok))

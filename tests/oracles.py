@@ -20,9 +20,11 @@ from dioph.arith import (
     Quad,
     Real,
     RealEnclosure,
+    Value,
     _floor_quad_int,
     _square_free_split,
     _surd_sign,
+    enclose,
     exact_cmp,
     power_bounds,
     surd,
@@ -95,7 +97,8 @@ class TailValue:
 
 def tail(alpha: AlphaSpec, n: int, precision_bits: int) -> TailValue:
     r = tail_real(alpha, n)
-    return TailValue(n=n, enclosure=r.enclose(precision_bits), exact=r.exact)
+    return TailValue(n=n, enclosure=enclose(r, precision_bits),
+                     exact=None if isinstance(r, Real) else r)
 
 
 # ---------------------------------------------------------------------------
@@ -441,29 +444,29 @@ def cycle_floors(alpha) -> tuple:
 # caller, with a special case per caller for a finite expansion.
 # ---------------------------------------------------------------------------
 
-def _tail_lower(g: _GammaRows, parity: Optional[int]) -> Optional[Real]:
-    """Strict lower bound (as a certified real) valid for every quality row
+def _tail_lower(g: _GammaRows, parity: Optional[int]) -> Optional[Value]:
+    """Strict lower bound (exact, or as a certified real) valid for every quality row
     deeper than g.depth (of the given parity, if any), or None when no such
     bound is provable."""
     floor = g.alpha.deep_row_floor(g.table, g.depth, parity)
     if floor is None:
         return None
     c, q = floor
-    return Real.power(Fraction(q), g.tau - 1) * Real.from_exact(c)
+    return Real.power(Fraction(q), g.tau - 1) * c
 
 
-def _reduce_rows(rows: list[QualityRow], tail_bound: Optional[Real],
+def _reduce_rows(rows: list[QualityRow], tail_bound: Optional[Value],
                  precision: int, depth_used: int) -> GammaResult:
     if all(r.exact is not None for r in rows):
         vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
         argmin = tuple(r.n for r in rows if r.exact == vmin)
-        enc = Real.from_exact(vmin).enclose(precision)
+        enc = enclose(vmin, precision)
         min_lo, upper = enc.lo, enc.hi
     else:
         upper = min(r.enclosure.hi for r in rows)
         min_lo = min(r.enclosure.lo for r in rows)
         argmin = tuple(r.n for r in rows if r.enclosure.lo <= upper)
-    bound_lo = None if tail_bound is None else tail_bound.enclose(precision).lo
+    bound_lo = None if tail_bound is None else enclose(tail_bound, precision).lo
     certified = bound_lo is not None and bound_lo >= 0
     if certified:
         lower = min(min_lo, bound_lo)
@@ -493,7 +496,7 @@ def _parity_brackets(g: _GammaRows) -> tuple[GammaResult, GammaResult]:
             continue
         if g.alpha.terminates:
             # finite expansion: no deeper rows exist, any nonnegative bound works
-            tail_bound = Real.from_exact(sub[0].enclosure.hi)
+            tail_bound = sub[0].enclosure.hi
         else:
             tail_bound = _tail_lower(g, parity)
         results.append(_reduce_rows(sub, tail_bound, g.precision, g.depth))
@@ -553,9 +556,9 @@ def reference_isolation(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
             # deeper rows all exceed the bound strictly; the infimum is attained
             # among the computed rows when the minimum does not exceed the bound
             bound = _tail_lower(g, None)
-            if bound is not None and bound.exact is None:
-                bound = Real.from_exact(bound.enclose(precision).lo)
-            attained_known = bound is not None and exact_cmp(vmin, bound.exact) <= 0
+            if isinstance(bound, Real):
+                bound = bound.enclose(precision).lo
+            attained_known = bound is not None and exact_cmp(vmin, bound) <= 0
     if not attained_known:
         if all_exact:  # the rows equal to the exact minimum
             unresolved = tuple(r.n for r in rows if exact_cmp(r.exact, vmin) == 0)
@@ -645,11 +648,9 @@ def brute_force_gamma_reference(alpha: AlphaSpec, tau: Fraction, qmax: int,
             if best == 0:
                 break
         value = Real.power(Fraction(best_q), tau) * best
-        return value.enclose(precision), best_q
+        return enclose(value, precision), best_q
     # interval path (prefix alphas, fractional tau on quadratics)
-    a_enc = alpha.real().enclose(precision)
-    if a_enc.lo is None or a_enc.hi is None:
-        raise DomainError("alpha enclosure must be bounded for brute force")
+    a_enc = enclose(alpha.real(), precision)
     best_hi: Optional[Fraction] = None
     per_q: list[tuple[Fraction, Fraction]] = []
     for q in range(1, qmax + 1):

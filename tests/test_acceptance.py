@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from dioph.arith import Real, surd
+from dioph.arith import enclose, surd
 from dioph.bands import (
     bands_union_measure,
     bands_union_tail,
@@ -88,7 +88,7 @@ def test_criterion_2_golden_ratio_closed_form():
     # q = 1 (the spec sheet's (21 - 9*sqrt5)/2 is the value of row 3, which
     # the definition-level oracle rules out as the infimum; see the row test)
     closed_form = surd(F(3, 2), F(-1, 2), 5)
-    enc = Real.from_exact(closed_form).enclose(256)
+    enc = enclose(closed_form, 256)
     assert res.lower <= enc.lo and enc.hi <= res.upper + F(1, 2**200)
     assert bf_enc.lo <= enc.hi and enc.lo <= bf_enc.hi
     assert bf_q == 1

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 import dioph.arith as arith
 from dioph.arith import (
     DomainError,
+    InternalConsistencyError,
     Quad,
     Real,
     RealEnclosure,
     cmp_certified,
-    enc_intersect,
-    enc_inv,
+    enclose,
     exact_cmp,
     format_rat,
     iroot,
@@ -94,9 +94,9 @@ def test_enclosure_monotone_refinement():
         if base == 0:
             continue
         r = Real.power(base, exp)
-        prev = r.enclose(32)
+        prev = enclose(r, 32)
         for bits in (64, 128, 256):
-            cur = r.enclose(bits)
+            cur = enclose(r, bits)
             assert prev.lo <= cur.lo <= cur.hi <= prev.hi
             prev = cur
 
@@ -114,7 +114,7 @@ def test_cmp_certified_soundness_at_higher_precision():
         b = Real.power(F(rng.randint(2, 50)), F(rng.randint(1, 7), rng.randint(2, 5)))
         v = cmp_certified(a, b, 256)
         if v is not None:
-            ea, eb = a.enclose(1024), b.enclose(1024)
+            ea, eb = enclose(a, 1024), enclose(b, 1024)
             if v < 0:
                 assert ea.hi < eb.lo
             else:
@@ -247,14 +247,19 @@ def test_an_unreduced_radicand_equals_its_reduction():
     assert Quad(F(0), F(1), 3 * 1000003**2) == surd(F(0), F(1000003), 3)
 
 
+def _wrapped(v):
+    """An exact value as a Real, known to the Real only by its enclosures."""
+    return Real(lambda bits: enclose(v, bits))
+
+
 def test_values_of_two_fields_are_ordered_by_operators():
     r2, r3 = surd(F(0), F(1), 2), surd(F(0), F(1), 3)
     assert r2 < r3 and r2 <= r3 and r3 > r2 and r3 >= r2 and r2 != r3
     assert min(r3, F(3, 2), r2) == r2 and max(r2, F(3, 2), r3) == r3
     # anything but int, Fraction and Quad is not an exact value
-    assert r2 != Real.from_exact(r2) and r2 != 1.5
+    assert r2 != _wrapped(r2) and r2 != 1.5
     with pytest.raises(TypeError):
-        r2 < Real.from_exact(r3)
+        r2 < _wrapped(r3)
 
 
 @st.composite
@@ -385,13 +390,14 @@ def test_quad_enclosure_contains_and_narrows():
 
 
 def _random_leaf(rng):
+    # exact leaves are wrapped, as two fields do not combine exactly
     kind = rng.randrange(3)
     if kind == 0:
-        return Real.from_exact(F(rng.randint(-50, 50), rng.randint(1, 50)))
+        return _wrapped(F(rng.randint(-50, 50), rng.randint(1, 50)))
     if kind == 1:
         d = rng.choice([2, 3, 5, 7, 11, 13])
-        return Real.from_exact(surd(F(rng.randint(-10, 10), rng.randint(1, 10)),
-                                    F(rng.randint(1, 10), rng.randint(1, 10)), d))
+        return _wrapped(surd(F(rng.randint(-10, 10), rng.randint(1, 10)),
+                             F(rng.randint(1, 10), rng.randint(1, 10)), d))
     return Real.power(F(rng.randint(1, 40), rng.randint(1, 40)),
                       F(rng.randint(1, 9), rng.randint(1, 4)))
 
@@ -415,25 +421,81 @@ def test_expression_tree_refinement_fuzz(rng):
     # enclosures of composite expressions must narrow, never invert
     for _ in range(150):
         t = _random_tree(rng, rng.randint(1, 4))
-        coarse, fine = t.enclose(64), t.enclose(512)
-        if coarse.lo is not None and fine.lo is not None:
-            assert fine.lo >= coarse.lo
-        if coarse.hi is not None and fine.hi is not None:
-            assert fine.hi <= coarse.hi
-        if fine.lo is not None and fine.hi is not None:
-            assert fine.lo <= fine.hi
+        coarse, fine = enclose(t, 64), enclose(t, 512)
+        assert fine.lo >= coarse.lo
+        assert fine.hi <= coarse.hi
+        assert fine.lo <= fine.hi
 
 
 def test_enclosure_intersection_detects_disagreement():
-    from dioph.arith import InternalConsistencyError, RealEnclosure
-
     a = RealEnclosure(F(0), F(1), 64)
     b = RealEnclosure(F(2), F(3), 64)
     with pytest.raises(InternalConsistencyError):
-        enc_intersect(a, b)
+        a & b
 
 
 def test_dividing_by_an_enclosure_containing_zero_raises():
+    one = RealEnclosure(F(1), F(1), 64)
     with pytest.raises(DomainError, match=r"containing 0 at 64 bits: \[-1/2, 1\]"):
-        enc_inv(RealEnclosure(F(-1, 2), F(1), 64))
-    assert enc_inv(RealEnclosure(F(-2), F(-1, 2), 8)) == RealEnclosure(F(-2), F(-1, 2), 8)
+        one / RealEnclosure(F(-1, 2), F(1), 64)
+    assert one / RealEnclosure(F(-2), F(-1, 2), 8) == RealEnclosure(F(-2), F(-1, 2), 8)
+
+
+@st.composite
+def enclosures(draw):
+    """A closed interval between two small rationals, at 1 to 300 bits."""
+    a, b = draw(small_rats), draw(small_rats)
+    return RealEnclosure(min(a, b), max(a, b), draw(st.integers(1, 300)))
+
+
+def _hull(values, bits):
+    return RealEnclosure(min(values), max(values), bits)
+
+
+@given(enclosures(), enclosures())
+def test_enclosure_operators_are_the_hull_of_the_endpoint_results(x, y):
+    """Each operator is monotone in each operand between the points where it
+    changes sign, so the set it maps two intervals onto is the hull of its
+    values at their ends (and at 0 for abs)."""
+    ends = [(a, b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+    bits = min(x.bits, y.bits)
+    assert -x == _hull([-x.lo, -x.hi], x.bits)
+    assert abs(x) == _hull([abs(x.lo), abs(x.hi)] + [F(0)] * x.contains(F(0)), x.bits)
+    assert x + y == _hull([a + b for a, b in ends], bits)
+    assert x - y == _hull([a - b for a, b in ends], bits)
+    assert x * y == _hull([a * b for a, b in ends], bits)
+    if y.lo <= 0 <= y.hi:
+        with pytest.raises(DomainError, match="division by an enclosure containing 0"):
+            x / y
+    else:
+        assert x / y == _hull([a / b for a, b in ends], bits)
+    # the points in both: none when one ends before the other starts
+    if x.hi < y.lo or y.hi < x.lo:
+        with pytest.raises(InternalConsistencyError, match="disjoint enclosures"):
+            x & y
+    else:
+        assert x & y == RealEnclosure(max(x.lo, y.lo), min(x.hi, y.hi), max(x.bits, y.bits))
+
+
+def _integer_root(n: int, k: int):
+    """The k-th root of n >= 0 when it is an integer, by bisection."""
+    lo, hi = 0, n + 1  # lo^k <= n < hi^k
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
+    return lo if lo ** k == n else None
+
+
+def test_power_is_a_fraction_exactly_when_rational():
+    for b in (F(1), F(2), F(4), F(8), F(9, 4), F(27, 8), F(3, 5), F(16, 81)):
+        for e in (F(0), F(2), F(-3), F(1, 2), F(-1, 2), F(2, 3), F(3, 4), F(5, 2)):
+            x = b ** e.numerator
+            rn = _integer_root(x.numerator, e.denominator)
+            rd = _integer_root(x.denominator, e.denominator)
+            v = Real.power(b, e)
+            if rn is not None and rd is not None:
+                assert type(v) is F and v == F(rn, rd)
+            else:
+                assert type(v) is Real
+                enc = v.enclose(64)
+                assert enc.lo ** e.denominator < x < enc.hi ** e.denominator

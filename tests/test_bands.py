@@ -108,6 +108,16 @@ def test_pinch_band_variants_and_width():
         pinch_band(2, 16, 0, F(4), F(1))
 
 
+@pytest.mark.parametrize("tau", [F(1), F(1, 2), F(0)])
+def test_pinch_band_rejects_tau_at_most_one(tau):
+    # below tau = 1 the exponent 2*tau^2 - tau - 1 is negative, and the band
+    # would sit at negative gamma; tau = 1 is rejected as gamma_band does
+    with pytest.raises(DomainError, match="^tau must exceed 1$"):
+        pinch_band(2, 3, 4, tau, F(1))
+    with pytest.raises(DomainError, match="^tau must exceed 1$"):
+        gamma_band(2, 3, 4, tau)
+
+
 def test_pinch_band_width_shrinks_in_q():
     widths = []
     for q in (2, 3, 5, 8):

@@ -344,6 +344,13 @@ def test_bad_options_name_the_option(capsys):
             "pinch constant c (--pinch-c) must be positive, got -1",
         ("bands", "--tau", "4", "--band", "2,3,4", "--pinch-c", "0"):
             "pinch constant c (--pinch-c) must be positive, got 0",
+        # checked without --band too
+        ("bands", "--tau", "4", "--pinch-c=-1"):
+            "pinch constant c (--pinch-c) must be positive, got -1",
+        ("bands", "--tau", "4", "--pinch-c", "x"):
+            "not a rational: 'x'",
+        ("bands", "--tau", "4", "--band", "2,3,4", "--pinch-c="):
+            "not a rational: ''",
     }
     for argv, message in requests.items():
         assert run(list(argv)) == 1

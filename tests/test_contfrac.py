@@ -168,7 +168,7 @@ def test_quadratic_from_periodic_matches_expansion(rng):
 
 def test_one_minus_quadratic_and_prefix():
     g1 = GOLDEN.reflect()
-    assert g1.real().exact + GOLDEN.real().exact == 1
+    assert g1.real() + GOLDEN.real() == 1
     assert cf_expand(g1, 7) == [0, 2, 1, 1, 1, 1, 1]
     a = PrefixAlpha((0, 2, 3, 4))
     b = a.reflect()

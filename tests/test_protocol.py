@@ -10,11 +10,13 @@ import functools
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import dioph
 from dioph import quality, topology
+from dioph.arith import DomainError, Quad, Real, enclose
 from dioph.bands import gamma_band, pinch_band
 from dioph.contfrac import (
     PrefixAlpha,
@@ -23,6 +25,7 @@ from dioph.contfrac import (
     cf_cycle,
     convergents,
     quadratic_from_periodic,
+    tail_real,
     value_of,
 )
 
@@ -65,7 +68,7 @@ def test_rational_and_prefix_agree_on_quotients(w):
 def test_prefix_tail_encloses_rational_tail(w):
     rat, pre = RationalAlpha(value_of(w)), PrefixAlpha(tuple(w))
     for n in range(len(w)):
-        exact = rat.tail(n).exact
+        exact = rat.tail(n)
         assert exact == value_of(w[n:])
         assert pre.tail(n).enclose(64).contains(exact)
 
@@ -76,10 +79,21 @@ def test_reflect_is_an_involution(alpha):
     assert type(alpha.reflect()) is type(alpha)
 
 
+@given(alphas(), st.integers(1, 8))
+def test_exact_kinds_give_their_values_bare(alpha, stop):
+    """The value and tails of a rational are Fractions and those of a
+    quadratic are Quads, used as themselves; only a prefix gives Reals,
+    which are known by their enclosures alone."""
+    kind = {RationalAlpha: F, QuadraticAlpha: Quad, PrefixAlpha: Real}[type(alpha)]
+    values = [alpha.real()] + [tail_real(alpha, n) for n in range(len(alpha.quotients_to(stop)))]
+    assert {type(v) for v in values} == {kind}
+    assert Real.__slots__ == ("_fn",)
+
+
 @given(alphas())
 def test_alpha_plus_reflection_encloses_one(alpha):
     total = alpha.real() + alpha.reflect().real()
-    assert total.enclose(64).contains(F(1))
+    assert enclose(total, 64).contains(F(1))
 
 
 def _floor_per_bracket(alpha, parity):
@@ -93,7 +107,7 @@ def _floor_per_bracket(alpha, parity):
     for j in positions:
         idx = start + j
         a_idx = alpha.quotients_to(idx + 1)[idx]
-        cand = 1 / (alpha.tail(idx + 1).exact + F(1, a_idx))
+        cand = 1 / (alpha.tail(idx + 1) + F(1, a_idx))
         if bound is None or cand < bound:
             bound = cand
     return bound
@@ -268,10 +282,13 @@ def test_enclosures_at_low_precision_are_bounded(alpha, tau, gamma, precision, q
     for n in range(len(alpha.quotients_to(6)) - 2):
         rep = topology.gap_report(alpha, gamma, tau, n, precision)
         encs += [t for t in (rep.threshold, rep.threshold_strict) if t is not None]
-    if tau > 1:  # the domain of gamma_band
+    if tau > 1:  # the domain of gamma_band and pinch_band
         band = gamma_band(q, p, n_quot, tau, precision)
         encs += [band.lo, band.hi]
-    encs += pinch_band(q, p, n_quot, tau, F(1, 4), precision)[:2]
+        encs += pinch_band(q, p, n_quot, tau, F(1, 4), precision)[:2]
+    else:
+        with pytest.raises(DomainError, match="tau must exceed 1"):
+            pinch_band(q, p, n_quot, tau, F(1, 4), precision)
     assert all(_bounded(e.lo, e.hi) for e in encs)
 
 

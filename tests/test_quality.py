@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dioph.arith import DomainError, Quad, Real, surd
+from dioph.arith import DomainError, Quad, enclose, surd
 from dioph.contfrac import (
     PrefixAlpha,
     QuadraticAlpha,
@@ -105,7 +105,7 @@ def test_gamma_of_golden_certified_exact():
     assert res.certified
     assert res.argmin_candidates == (1,)
     assert res.upper - res.lower <= F(1, 10**12)
-    enc = Real.from_exact(GOLDEN_MIN).enclose(300)
+    enc = enclose(GOLDEN_MIN, 300)
     assert res.lower <= enc.lo and enc.hi <= res.upper + F(1, 2**200)
 
 
@@ -132,7 +132,7 @@ def test_gamma_parity_structure_golden():
     assert odd.certified and odd.argmin_candidates == (1,)
     assert odd.upper - odd.lower <= F(1, 10**12)
     # even side decreases toward 1/sqrt(5), never attained: honest wide bracket
-    hurwitz = Real.from_exact(surd(F(0), F(1, 5), 5)).enclose(128)
+    hurwitz = enclose(surd(F(0), F(1, 5), 5), 128)
     assert even.lower <= hurwitz.lo and hurwitz.hi <= even.upper
     assert even.certified
 
@@ -321,7 +321,7 @@ def test_upper_bounded_by_min_distance_to_ends(rng):
         alpha = random_quadratic(rng)
         res = gamma_of(alpha, F(1), 20)
         v = alpha.value()
-        bound = Real.from_exact(v if v < 1 - v else 1 - v).enclose(128)
+        bound = enclose(v if v < 1 - v else 1 - v, 128)
         assert res.upper <= bound.hi + F(1, 2**100)
 
 

@@ -12,7 +12,8 @@ that tree's ``src`` first on ``sys.path``.  The list holds
   meets an enclosure containing 0 soonest; and error paths (census windows
   below 0 and at ``--n`` below 0, ``gaps`` at gamma <= 0, tau below 1 or
   ``--depth`` below 2, ``--nmax 0``, ``--checkpoints`` and ``--budget``
-  below 1, ``--prec`` below 1, ``--pinch-c`` at most 0, malformed
+  below 1, ``--prec`` below 1, ``--pinch-c`` at most 0, empty or not
+  a rational (with and without ``--band``), malformed
   ``--band``, ``--checkpoints`` and ``--qmax-list`` lists, empty
   ``--qmax-list`` and ``--gamma-list`` lists, ``set`` and ``sweep`` JSON
   with a malformed ``--alpha``, bad specs and flags, a bad
@@ -22,11 +23,16 @@ that tree's ``src`` first on ``sys.path``.  The list holds
   over nine taus, Qmax <= 600 and precision 1, 4, 8, 32, 64 or 256;
 * the ``bf`` requests among the first ``SCAN_REQUESTS`` requests of the
   benchmark's ``scan`` workload (``bench/workloads.py`` of the head tree) for
-  each seed of ``SCAN_SEEDS``.
+  each seed of ``SCAN_SEEDS``;
+* ``LIB_CALLS`` calls of the library functions in ``LIB_FUNCTIONS``, which
+  no command reaches, on seeded alphas of every kind (prefixes with and
+  without a tail bound), integer and fractional tau (and tau below 1) and
+  precisions down to 1 bit.
 
 A command-line request is compared on its stdout, stderr and exit code, a
-``brute_force_gamma`` call on (lo, hi, bits, q) of its result; an exception
-is compared on its type and message.  Requests that differ are printed
+``brute_force_gamma`` call on (lo, hi, bits, q) of its result, a library
+call on the ``repr`` of its result; an exception is compared on its type
+and message.  Requests that differ are printed
 grouped by command; the exit code is 1 when any differ, else 0.  The trees
 run one after the other, and the reported time is their sum.
 """
@@ -53,6 +59,10 @@ PRECS = ("1", "4", "8", "32", "64", "256")
 BF_CALLS = 360
 SCAN_SEEDS = range(1, 7)
 SCAN_REQUESTS = 160
+LIB_CALLS = 330
+LIB_FUNCTIONS = ("quotient_growth_table", "power_approx_margin", "tau_bounds", "gamma_parity",
+                 "detect_isolation", "window_margin_table", "check_gap", "check_gap_strict",
+                 "gap_threshold", "gap_threshold_strict", "pinch_band")
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +192,8 @@ def cli_request(rng: random.Random) -> dict:
             [*rng.choice((["set", "--gamma", gamma, "--qmax", "5"], ["sweep"])), "--tau", tau,
              "--alpha", rng.choice(("bogus", "quad:1,4,2", "cf:[0;]"))],
             ["bands", "--tau", tau, "--band", "2,3,4", "--pinch-c=" + rng.choice(("0", "-1"))],
+            ["bands", "--tau", tau, *rng.choice((["--band", "2,3,4"], [])),
+             "--pinch-c=" + rng.choice(("-1", "x", ""))],
         ))
         return {"kind": "cli", "argv": argv, "env": {}}
     env = {}
@@ -208,6 +220,42 @@ def bf_request(rng: random.Random, kind: str) -> dict:
             "qmax": qmax, "precision": int(rng.choice(PRECS))}
 
 
+def lib_request(rng: random.Random, fn: str) -> dict:
+    """One call of `fn`: an alpha is its spec, a rational its text."""
+    tau = rng.choice(TAUS) if rng.random() < 0.95 else rng.choice(("1/2", "0"))
+    gamma, prec = rng.choice(GAMMAS), int(rng.choice(PRECS))
+    alpha, kwargs = any_alpha(rng), {}
+    if fn == "quotient_growth_table":
+        args = [alpha, gamma, tau, rng.randint(2, 12), rng.choice(("0", "1/2", "1", "3/2")),
+                rng.choice(("1", "1/3", "2")), prec]
+    elif fn == "power_approx_margin":  # integer tau and k > tau + 1, or an error
+        k = Fraction(tau) + Fraction(rng.choice(("1", "3/2", "2", "7/2")))
+        args = [rng.choice(GAMMAS + ("1/2",)), tau, str(k), rng.randint(1, 80), prec]
+    elif fn == "tau_bounds":
+        args = [alpha, rng.randint(1, 20)]
+    elif fn == "gamma_parity":
+        args = [alpha, tau, rng.randint(1, 12), prec]
+    elif fn == "detect_isolation":
+        args = [alpha, gamma, tau, rng.randint(1, 15), prec]
+    elif fn == "window_margin_table":
+        args = [alpha, gamma, tau, rng.randint(0, 4), rng.randint(1, 200), prec]
+    elif fn in ("check_gap", "check_gap_strict"):
+        args = [alpha, gamma, tau, rng.randint(0, 5), prec]
+    elif fn in ("gap_threshold", "gap_threshold_strict"):
+        q_n = rng.randint(1, 30)
+        q_n1 = q_n * rng.randint(1, 6) + rng.randint(0, 30)
+        args = [q_n, q_n1, q_n1 * rng.randint(1, 9) + q_n, gamma, tau, prec]
+    else:  # pinch_band
+        q = rng.randint(1, 30)
+        args = [q, rng.randint(0, q), rng.randint(1, 5), tau,
+                rng.choice(("1/4", "1/2", "1", "0")), prec]
+        kwargs = {"variant": rng.choice(("p", "q"))}
+    tail = None
+    if alpha.startswith("cf:") and rng.random() < 0.5:
+        tail = ["1", str(rng.randint(1, 12))]
+    return {"kind": "lib", "fn": fn, "args": args, "kwargs": kwargs, "tail": tail}
+
+
 def scan_bf_requests(head: str) -> list[dict]:
     sys.path[:0] = [os.path.join(head, "src"), os.path.join(head, "bench")]
     import workloads  # noqa: E402  (the benchmark's request streams)
@@ -228,6 +276,7 @@ def build_requests(args) -> list[dict]:
     rng = random.Random(f"differential:{args.seed}")
     reqs = [cli_request(rng) for _ in range(args.requests)]
     reqs += [bf_request(rng, ("rat", "quad", "prefix")[i % 3]) for i in range(BF_CALLS)]
+    reqs += [lib_request(rng, LIB_FUNCTIONS[i % len(LIB_FUNCTIONS)]) for i in range(LIB_CALLS)]
     return reqs + scan_bf_requests(args.head)
 
 
@@ -246,14 +295,30 @@ def run_tree(tree: str) -> None:
     import dioph.cli
     from dioph.contfrac import PrefixAlpha
 
+    def alpha_of(spec, tail):
+        """The alpha of a spec; a prefix bounds its tails by `tail` when set."""
+        alpha = dioph.parse_alpha(spec)
+        return PrefixAlpha(alpha.quotients, *map(Fraction, tail)) if tail else alpha
+
+    def lib_arg(x, tail):
+        """An alpha from its spec, a Fraction from its text, an integer as itself."""
+        if not isinstance(x, str):
+            return x
+        return alpha_of(x, tail) if ":" in x else Fraction(x)
+
     reqs = json.load(sys.stdin)
     results = []
     for req in reqs:
+        if req["kind"] == "lib":
+            try:
+                args = [lib_arg(x, req["tail"]) for x in req["args"]]
+                results.append([repr(getattr(dioph, req["fn"])(*args, **req["kwargs"]))])
+            except Exception as exc:  # compared like any other result
+                results.append(_error(exc))
+            continue
         if req["kind"] == "bf":
             try:
-                alpha = dioph.parse_alpha(req["alpha"])
-                if req["tail"]:
-                    alpha = PrefixAlpha(alpha.quotients, *map(Fraction, req["tail"]))
+                alpha = alpha_of(req["alpha"], req["tail"])
                 kw = {} if req["precision"] is None else {"precision": req["precision"]}
                 enc, q = dioph.brute_force_gamma(alpha, Fraction(req["tau"]), req["qmax"], **kw)
                 results.append([str(enc.lo), str(enc.hi), enc.bits, q])
@@ -276,6 +341,10 @@ def run_tree(tree: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _describe(req: dict) -> str:
+    if req["kind"] == "lib":
+        args = [repr(x) for x in req["args"]] + [f"{k}={v!r}" for k, v in req["kwargs"].items()]
+        tail = f" tail={req['tail']}" if req["tail"] else ""
+        return f"{req['fn']}({', '.join(args)}){tail}"
     if req["kind"] == "cli":
         env = " ".join(f"{k}={v}" for k, v in req["env"].items())
         return (env + " " if env else "") + " ".join(req["argv"])
@@ -325,13 +394,15 @@ def main() -> int:
     groups: dict[str, list[str]] = defaultdict(list)
     for req, a, b in zip(reqs, base["results"], head["results"]):
         if a != b:
-            group = req["argv"][0] if req["kind"] == "cli" else "brute_force_gamma"
+            group = (req["argv"][0] if req["kind"] == "cli"
+                     else req["fn"] if req["kind"] == "lib" else "brute_force_gamma")
             groups[group].append(f"  {_describe(req)}\n    differs in {_differing(a, b)}")
-    n_bf = sum(r["kind"] == "bf" for r in reqs)
-    print(f"{len(reqs)} requests ({len(reqs) - n_bf} command-line, {n_bf} brute_force_gamma) "
-          f"in {elapsed:.1f} s: {sum(map(len, groups.values()))} differ")
+    kinds = Counter(r["kind"] for r in reqs)
+    print(f"{len(reqs)} requests ({kinds['cli']} command-line, {kinds['bf']} brute_force_gamma, "
+          f"{kinds['lib']} library) in {elapsed:.1f} s: {sum(map(len, groups.values()))} differ")
     # what the head returned, so that a list that only reaches errors shows
-    outcomes = Counter(("bf " + ("ok" if isinstance(r, list) else "error")) if req["kind"] == "bf"
+    outcomes = Counter((f"{req['kind']} " + ("ok" if isinstance(r, list) else "error"))
+                       if req["kind"] != "cli"
                        else f"exit {r[2]}" if isinstance(r[2], int) else "exception"
                        for req, r in zip(reqs, head["results"]))
     print("head: " + ", ".join(f"{k} {v}" for k, v in sorted(outcomes.items())))
