@@ -8,7 +8,8 @@ guaranteed to contain the value, at any requested precision.  :func:`enclose`
 encloses any value: a rational's enclosure is the point itself.  Enclosures
 carry the interval operators, and every enclosure is bounded: dividing by one
 that contains 0 raises :class:`DomainError`, and a prefix without a tail bound
-raises rather than enclose a tail past its end.  :func:`exact_cmp` is the one
+raises rather than enclose a tail past its end.  A ``Quad`` keeps the
+radicand it is built with, never factored.  :func:`exact_cmp` is the one
 order on exact values, and it implements a ``Quad``'s operators: its ``==``,
 hash, order and printed form are its value's, whatever radicand stores it.
 Comparisons with a ``Real`` go through :func:`cmp_certified`, which refines
@@ -156,21 +157,6 @@ class RealEnclosure:
 # Quadratic surds a + b*sqrt(d)
 # ---------------------------------------------------------------------------
 
-def _square_free_split(d: int) -> tuple[int, int]:
-    """Write d = c^2 * rest with rest square-reduced (best effort for huge d)."""
-    c, rest, f = 1, d, 2
-    while f * f <= rest and f <= 100_000:
-        while rest % (f * f) == 0:
-            rest //= f * f
-            c *= f
-        f += 1
-    r = math.isqrt(rest)
-    if r * r == rest:
-        c *= r
-        rest = 1
-    return c, rest
-
-
 def is_square(n: int) -> bool:
     if n < 0:
         return False
@@ -218,11 +204,11 @@ _ZERO = Fraction(0)
 class Quad:
     """Exact quadratic surd a + b*sqrt(d) with b != 0 and d >= 2 non-square.
 
-    Build values with :func:`surd`, which reduces the radicand once.  The
-    arithmetic below keeps that radicand: results in the same field are
-    built directly, never reduced again.  Comparisons read the value only:
-    they compare with ints, Fractions and Quads by :func:`exact_cmp`, and
-    hash and repr read (a, b*|b|*d), the same for every radicand.
+    A Quad keeps the radicand it is built with; no radicand is ever factored.
+    The arithmetic below keeps it too: a result in the same field is built
+    over this radicand.  Comparisons read the value only: they compare with
+    ints, Fractions and Quads by :func:`exact_cmp`, and hash and repr read
+    (a, b*|b|*d), the same for every radicand.
     """
 
     a: Fraction
@@ -318,18 +304,6 @@ class Quad:
         inv = self.inverse()
         return inv * p[0] if p[1] == 0 else NotImplemented
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        base: Union[Fraction, Quad] = self if k >= 0 else self.inverse()
-        result: Union[Fraction, Quad] = Fraction(1)
-        for _ in range(abs(k)):
-            result = base * result
-        return result
-
-    def conjugate(self):
-        return Quad(self.a, -self.b, self.d)
-
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
@@ -374,20 +348,16 @@ class Quad:
 
 
 def surd(a: Fraction, b: Fraction, d: int) -> Union[Fraction, Quad]:
-    """Build a + b*sqrt(d), collapsing to a Fraction when the surd vanishes.
-
-    This is where a radicand is reduced (square factors move into b), once;
-    Quad arithmetic keeps the reduced radicand.
-    """
+    """Build a + b*sqrt(d): a Fraction when b = 0 or d is a perfect square,
+    else the Quad over d as given."""
     a, b = Fraction(a), Fraction(b)
     if b == 0:
         return a
     if d <= 0:
         raise DomainError("surd radicand must be positive")
-    c, rest = _square_free_split(d)
-    if rest == 1:
-        return a + b * c
-    return Quad(a, b * c, rest)
+    if is_square(d):
+        return a + b * math.isqrt(d)
+    return Quad(a, b, d)
 
 
 ExactValue = Union[Fraction, Quad]

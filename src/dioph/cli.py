@@ -119,12 +119,23 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _rat(text: str, option: str) -> Fraction:
+    """The rational given to `option`."""
+    try:
+        return parse_rat(text)
+    except DomainError:
+        raise DomainError(f"{option} expects a rational, got {text!r}") from None
+
+
 def _rat_list(text: str, option: str) -> list[Fraction]:
     """The rationals of the comma list given to `option`, at least one."""
-    values = [parse_rat(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise DomainError(f"{option} expects a comma list of rationals, got {text!r}")
-    return values
+    try:
+        values = [parse_rat(part) for part in text.split(",") if part.strip()]
+        if values:
+            return values
+    except DomainError:
+        pass
+    raise DomainError(f"{option} expects a comma list of rationals, got {text!r}")
 
 
 def _int_list(text: str, option: str, length: Optional[int] = None) -> list[int]:
@@ -183,7 +194,7 @@ def _gamma_result_obj(res: quality.GammaResult):
 
 def _cmd_gamma(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
-    tau = parse_rat(args.tau)
+    tau = _rat(args.tau, "--tau")
     res, even, odd, quality_rows = _gamma_report(alpha, tau, args.depth, args.prec)
     rows = [{"n": row.n, "q": row.q, "p": row.p, "enclosure": row.enclosure.to_obj()}
             for row in quality_rows]
@@ -200,7 +211,7 @@ def _cmd_gamma(args) -> tuple[str, int]:
 
 def _cmd_member(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
-    verdict = quality.membership(alpha, parse_rat(args.gamma), parse_rat(args.tau),
+    verdict = quality.membership(alpha, _rat(args.gamma, "--gamma"), _rat(args.tau, "--tau"),
                                  args.budget, args.prec)
     payload = {
         "alpha": alpha.spec(),
@@ -217,19 +228,19 @@ def _cmd_member(args) -> tuple[str, int]:
     return _json(payload), 2 if verdict.is_unknown else 0
 
 
-def _alpha_ticks(args, qmax: int):
-    if not getattr(args, "alpha", None):
+def _alpha_ticks(alpha, qmax: int):
+    if alpha is None:
         return None
     # q_n >= 2^((n-1)/2), so every convergent with q_n <= qmax is in this table
-    table = convergents(parse_alpha(args.alpha).quotients_to(2 * qmax.bit_length() + 3))
+    table = convergents(alpha.quotients_to(2 * qmax.bit_length() + 3))
     kept = [0] + [n for n in range(1, len(table)) if table.denom(n) <= qmax]
     return [f for f in map(table.fraction, kept) if 0 <= f <= 1]
 
 
 def _cmd_set(args) -> tuple[str, int]:
-    gamma, tau = parse_rat(args.gamma), parse_rat(args.tau)
-    if args.alpha:  # only the svg ticks read it, but every format checks it
-        parse_alpha(args.alpha)
+    gamma, tau = _rat(args.gamma, "--gamma"), _rat(args.tau, "--tau")
+    # only the svg ticks read it, but every format checks it
+    alpha = parse_alpha(args.alpha) if args.alpha else None
     if tau > 2 and args.format == "json":  # the bracket's outer set is the truncated set
         bracket = dioset.set_bracket(gamma, tau, args.qmax, args.prec)
         s, tail = bracket.outer, format_rat(bracket.tail_measure_bound)
@@ -237,7 +248,7 @@ def _cmd_set(args) -> tuple[str, int]:
         s, tail = dioset.truncated_set(gamma, tau, args.qmax, args.prec), None
     if args.format == "svg":
         label = f"g={format_rat(gamma)} Q={args.qmax}"
-        return render_svg([(label, s)], _alpha_ticks(args, args.qmax)), 0
+        return render_svg([(label, s)], _alpha_ticks(alpha, args.qmax)), 0
     intervals = s.to_obj()
     if args.format == "csv":
         lines = [f"{lo},{hi}" for lo, hi in intervals]
@@ -255,7 +266,7 @@ def _cmd_set(args) -> tuple[str, int]:
 
 def _cmd_census(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
-    rec = topology.census(alpha, parse_rat(args.gamma), parse_rat(args.tau),
+    rec = topology.census(alpha, _rat(args.gamma, "--gamma"), _rat(args.tau, "--tau"),
                           args.n, args.qmax, args.prec)
     payload = {"alpha": alpha.spec()}
     payload.update(topology.census_obj(rec))
@@ -264,7 +275,7 @@ def _cmd_census(args) -> tuple[str, int]:
 
 def _cmd_gaps(args) -> tuple[str, int]:
     alpha = parse_alpha(args.alpha)
-    gamma, tau = parse_rat(args.gamma), parse_rat(args.tau)
+    gamma, tau = _rat(args.gamma, "--gamma"), _rat(args.tau, "--tau")
     if args.depth < 2:
         raise DomainError(f"depth (--depth) must be >= 2, got {args.depth}")
     reports = []
@@ -288,7 +299,7 @@ def _cmd_gaps(args) -> tuple[str, int]:
 
 
 def _cmd_bands(args) -> tuple[str, int]:
-    tau = parse_rat(args.tau)
+    tau = _rat(args.tau, "--tau")
     checkpoints = _int_list(args.checkpoints, "--checkpoints") if args.checkpoints else []
     report = bands_mod.exponents(tau, checkpoints, precision=64)
     payload = {
@@ -315,7 +326,8 @@ def _cmd_bands(args) -> tuple[str, int]:
             for b in band_records
         ]
     # checked with or without --band, once the bands it qualifies are built
-    pinch_c = None if args.pinch_c is None else bands_mod.pinch_constant(parse_rat(args.pinch_c))
+    pinch_c = (None if args.pinch_c is None
+               else bands_mod.pinch_constant(_rat(args.pinch_c, "--pinch-c")))
     if band_records and pinch_c is not None:
         pinch = []
         for b in band_records:
@@ -326,13 +338,12 @@ def _cmd_bands(args) -> tuple[str, int]:
                           "width_bound": format_rat(wb)})
         payload["pinch_bands"] = pinch
     if args.m is not None:
+        c1, c2 = _rat(args.c1, "--c1"), _rat(args.c2, "--c2")
         payload["union_measure"] = format_rat(
-            bands_mod.bands_union_measure(tau, parse_rat(args.c1), parse_rat(args.c2),
-                                          args.m, args.qmax, args.nmax, args.prec))
+            bands_mod.bands_union_measure(tau, c1, c2, args.m, args.qmax, args.nmax, args.prec))
         try:
             payload["union_tail"] = format_rat(
-                bands_mod.bands_union_tail(tau, parse_rat(args.c1), parse_rat(args.c2),
-                                           args.qmax, args.nmax, args.prec))
+                bands_mod.bands_union_tail(tau, c1, c2, args.qmax, args.nmax, args.prec))
         except DomainError:
             payload["union_tail"] = None  # divergent series at this tau
     if args.format == "csv":
@@ -345,12 +356,12 @@ def _cmd_bands(args) -> tuple[str, int]:
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
-    tau = parse_rat(args.tau)
+    tau = _rat(args.tau, "--tau")
     gammas = (_rat_list(args.gamma_list, "--gamma-list") if args.gamma_list
-              else [parse_rat(args.gamma)])
+              else [_rat(args.gamma, "--gamma")])
     qmaxes = _int_list(args.qmax_list, "--qmax-list") if args.qmax_list else [args.qmax]
-    if args.alpha:  # only the svg ticks read it, but every format checks it
-        parse_alpha(args.alpha)
+    # only the svg ticks read it, but every format checks it
+    alpha = parse_alpha(args.alpha) if args.alpha else None
     rows = []
     for gamma in gammas:
         for qmax in qmaxes:
@@ -358,7 +369,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
             rows.append((label, gamma, qmax,
                          dioset.truncated_set(gamma, tau, qmax, args.prec)))
     if args.format == "svg":
-        ticks = _alpha_ticks(args, max(qmaxes))
+        ticks = _alpha_ticks(alpha, max(qmaxes))
         return render_svg([(label, s) for label, _g, _q, s in rows], ticks), 0
     if args.format == "csv":
         lines = ["label,lo,hi"]

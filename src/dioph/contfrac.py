@@ -50,7 +50,6 @@ from .arith import (
     Real,
     Value,
     _floor_quad_int,
-    _square_free_split,
     _surd_sign,
     format_rat,
     is_square,
@@ -130,11 +129,6 @@ class QuadraticAlpha:
             raise DomainError("quadratic radicand must be a positive non-square")
 
     @cached_property
-    def _field(self) -> tuple[int, int]:
-        """(c, k) with d = c^2 * k and k reduced: the field, computed once."""
-        return _square_free_split(self.d)
-
-    @cached_property
     def _radicand(self) -> tuple[int, int, int]:
         """(m, D, isqrt(D)) for the tails (P_n + sqrt(D))/Q_n, D = d*m^2: m is
         1, or |q| when q does not divide d - p^2, so that Q_n divides D - P_n^2."""
@@ -154,9 +148,8 @@ class QuadraticAlpha:
         return states[n]
 
     def _surd(self, pp: int, qq: int) -> Quad:
-        """(pp + sqrt(D))/qq in alpha's own field, sqrt(D) = m*c*sqrt(k)."""
-        c, k = self._field
-        return Quad(Fraction(pp, qq), Fraction(c * self._radicand[0], qq), k)
+        """(pp + sqrt(D))/qq, stored over D, the radicand of the states."""
+        return Quad(Fraction(pp, qq), Fraction(1, qq), self._radicand[1])
 
     def value(self) -> Quad:
         return self._surd(*self._state(0)[:2])

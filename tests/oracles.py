@@ -22,7 +22,6 @@ from dioph.arith import (
     RealEnclosure,
     Value,
     _floor_quad_int,
-    _square_free_split,
     _surd_sign,
     enclose,
     exact_cmp,
@@ -419,11 +418,8 @@ def quad_tail(alpha, n: int) -> Quad:
         pp, qq = states[n]
     else:
         pp, qq = states[start + (n - start) % period]
-    # sqrt(D) = c*sqrt(k) in alpha's own field, times |q| when D = d*q^2
-    c, k = _square_free_split(alpha.d)
-    if d != alpha.d:
-        c *= abs(alpha.q)
-    return Quad(Fraction(pp, qq), Fraction(c, qq), k)
+    # stored over D, the radicand of the states, as the library stores it
+    return Quad(Fraction(pp, qq), Fraction(1, qq), d)
 
 
 def cycle_floors(alpha) -> tuple:

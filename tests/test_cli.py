@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dioph
-from dioph import arith, cli, contfrac, dioset, quality
+from dioph import arith, cli, dioset, quality
 from dioph.arith import DomainError
 from dioph.cli import run
 from dioph.contfrac import cf_expand, convergents, parse_alpha
@@ -348,9 +348,28 @@ def test_bad_options_name_the_option(capsys):
         ("bands", "--tau", "4", "--pinch-c=-1"):
             "pinch constant c (--pinch-c) must be positive, got -1",
         ("bands", "--tau", "4", "--pinch-c", "x"):
-            "not a rational: 'x'",
+            "--pinch-c expects a rational, got 'x'",
         ("bands", "--tau", "4", "--band", "2,3,4", "--pinch-c="):
-            "not a rational: ''",
+            "--pinch-c expects a rational, got ''",
+        # a malformed rational names its option; of two, the first parsed
+        ("gamma", "--alpha", "rat:1/3", "--tau", "x"):
+            "--tau expects a rational, got 'x'",
+        ("member", "--alpha", "rat:1/3", "--gamma", "x", "--tau", "y"):
+            "--gamma expects a rational, got 'x'",
+        ("set", "--gamma", "1/10", "--tau", "1/0", "--qmax", "3"):
+            "--tau expects a rational, got '1/0'",
+        ("census", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "4x", "--n", "1"):
+            "--tau expects a rational, got '4x'",
+        ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "", "--tau", "4"):
+            "--gamma expects a rational, got ''",
+        ("bands", "--tau", "4", "--m", "2", "--c1", "x", "--c2", "y"):
+            "--c1 expects a rational, got 'x'",
+        ("bands", "--tau", "4", "--m", "2", "--c2", "1/"):
+            "--c2 expects a rational, got '1/'",
+        ("sweep", "--tau", "4", "--gamma", "x"):
+            "--gamma expects a rational, got 'x'",
+        ("sweep", "--tau", "4", "--gamma-list", "1/10,x"):
+            "--gamma-list expects a comma list of rationals, got '1/10,x'",
     }
     for argv, message in requests.items():
         assert run(list(argv)) == 1
@@ -476,18 +495,6 @@ def test_gamma_builds_each_row_once(tmp_path, monkeypatch):
     assert len(rows) == depth_used + 1
 
 
-@pytest.mark.parametrize("depth", ["5", "80"])
-def test_gamma_splits_the_radicand_at_most_twice(tmp_path, monkeypatch, depth):
-    calls = _counting(monkeypatch, arith, "_square_free_split")
-    monkeypatch.setattr(contfrac, "_square_free_split", arith._square_free_split)
-    alpha = "quad:1,33554435,3"  # 25-bit radicand, scaled by q^2 = 9 in the tails
-    code, data = _run_to_file(tmp_path, "g.json",
-                              ["gamma", "--alpha", alpha, "--tau", "1", "--depth", depth])
-    assert code == 0
-    assert len(json.loads(data)["rows"]) == int(depth) + 1
-    assert len(calls) <= 2
-
-
 def test_set_runs_the_sieve_once(tmp_path, monkeypatch):
     sieves = _counting(monkeypatch, dioset, "truncated_set")
     assert run(["set", "--gamma", "1/10", "--tau", "4", "--qmax", "30",
@@ -545,7 +552,7 @@ def _alpha_ticks_by_depth(spec: str, qmax: int):
 ])
 @pytest.mark.parametrize("qmax", [1, 2, 3, 10, 180, 10**6])
 def test_alpha_ticks_match_the_depth_search(spec, qmax):
-    ticks = cli._alpha_ticks(argparse.Namespace(alpha=spec), qmax)
+    ticks = cli._alpha_ticks(parse_alpha(spec), qmax)
     assert ticks == _alpha_ticks_by_depth(spec, qmax)
 
 

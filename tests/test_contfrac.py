@@ -196,8 +196,7 @@ def test_alpha_real_prefix_interval():
 
 
 def test_tail_and_value_match_surd_routing(rng):
-    # the field is reduced once per alpha; every tail must still be the Quad
-    # surd() builds from the normalised radicand D
+    # every tail is the Quad surd() builds over the normalised radicand D
     for _ in range(60):
         alpha = random_quadratic(rng)
         assert alpha.value() == surd(F(alpha.p, alpha.q), F(1, alpha.q), alpha.d)

@@ -58,6 +58,20 @@ def test_walk_matches_the_dict_walk(alpha):
     assert got == want and stored_form(got) == stored_form(want)
 
 
+@settings(max_examples=40, derandomize=True)
+@given(quadratics())
+# d with square factors, D = d and D = d*q^2, and q of both signs
+@example(QuadraticAlpha(1, 8, 7))
+@example(QuadraticAlpha(1, 8, -7))
+@example(QuadraticAlpha(-3, 8 * 9, 4))
+@example(QuadraticAlpha(2, 12, -5))
+def test_every_tail_is_stored_over_the_state_radicand(alpha):
+    start, period, floors = alpha._cycle
+    values = [alpha.value(), *map(alpha.tail, range(start + period + 2))]
+    values += [f for f in floors if f is not None]
+    assert {v.d for v in values} == {alpha._radicand[1]}
+
+
 def test_memory_does_not_grow_with_the_period():
     # period 16,052: the walk holds one state, not every state of the period
     tracemalloc.start()

@@ -18,6 +18,9 @@ that tree's ``src`` first on ``sys.path``.  The list holds
   ``--qmax-list`` and ``--gamma-list`` lists, ``set`` and ``sweep`` JSON
   with a malformed ``--alpha``, bad specs and flags, a bad
   ``DIOPH_PRECISION_CAP``);
+* the fixed requests of ``fixed_cli_requests``: ``gamma``, ``member`` and
+  ``cf`` on radicands of 41 to 60 bits (``BIG_ROOTS``), and one malformed
+  rational for each option that takes a rational;
 * ``BF_CALLS`` calls of ``brute_force_gamma`` on seeded rational, quadratic
   and prefix alphas (a third each; prefixes with and without a tail bound)
   over nine taus, Qmax <= 600 and precision 1, 4, 8, 32, 64 or 256;
@@ -202,6 +205,37 @@ def cli_request(rng: random.Random) -> dict:
     return {"kind": "cli", "argv": argv + _common(rng), "env": env}
 
 
+# x^2 + 1 for these x, of 41, 51, 56 and 60 bits, expands sqrt(x^2 + 1) with
+# period 1; the 41- and 51-bit ones have a prime factor above 100,000 and the
+# 56-bit one is 100129^2 * 4687685, so that trial division to 100,000 reduces
+# none of them fully
+BIG_ROOTS = (1048579, 33554439, 216789922, 1073741821)
+MALFORMED_RATIONALS = (
+    ["gamma", "--alpha", "rat:1/3", "--tau", "x"],
+    ["member", "--alpha", "rat:1/3", "--gamma", "x", "--tau", "2"],
+    ["set", "--gamma", "1/10", "--tau", "1/0"],
+    ["bands", "--tau", "4", "--pinch-c", "x"],
+    ["bands", "--tau", "4", "--m", "2", "--c1", "x"],
+    ["bands", "--tau", "4", "--m", "2", "--c2", "1/"],
+    ["sweep", "--tau", "4", "--gamma-list", "1/10,x"],
+)
+
+
+def fixed_cli_requests() -> list[dict]:
+    """Unit alphas (P + sqrt(D))/Q over each radicand of ``BIG_ROOTS``, with
+    Q = 1, Q = 3 (tails over 9*D) and Q = -7, then ``MALFORMED_RATIONALS``."""
+    argvs = []
+    for x in BIG_ROOTS:
+        d = x * x + 1
+        for alpha in (f"quad:{-x},{d},1", f"quad:{-x},{d},3", f"quad:{-x - 5},{d},-7"):
+            argvs += [["gamma", "--alpha", alpha, "--tau", "1", "--depth", "12"],
+                      ["member", "--alpha", alpha, "--gamma", "1/10", "--tau", "2",
+                       "--budget", "12"],
+                      ["cf", "--alpha", alpha, "--depth", "16"]]
+    return [{"kind": "cli", "argv": argv, "env": {}}
+            for argv in argvs + list(map(list, MALFORMED_RATIONALS))]
+
+
 def bf_request(rng: random.Random, kind: str) -> dict:
     tail, qmax = None, rng.randint(1, 600)
     if kind == "rat":
@@ -274,7 +308,7 @@ def scan_bf_requests(head: str) -> list[dict]:
 
 def build_requests(args) -> list[dict]:
     rng = random.Random(f"differential:{args.seed}")
-    reqs = [cli_request(rng) for _ in range(args.requests)]
+    reqs = [cli_request(rng) for _ in range(args.requests)] + fixed_cli_requests()
     reqs += [bf_request(rng, ("rat", "quad", "prefix")[i % 3]) for i in range(BF_CALLS)]
     reqs += [lib_request(rng, LIB_FUNCTIONS[i % len(LIB_FUNCTIONS)]) for i in range(LIB_CALLS)]
     return reqs + scan_bf_requests(args.head)
