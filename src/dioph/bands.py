@@ -78,14 +78,6 @@ def gamma_band(q: int, p: int, n_quot: int, tau: Fraction,
                       width_bound=enclose(wb, precision).hi)
 
 
-def pinch_constant(c: Fraction) -> Fraction:
-    """The constant c of the second band family, checked positive."""
-    c = Fraction(c)
-    if c <= 0:
-        raise DomainError(f"pinch constant c (--pinch-c) must be positive, got {format_rat(c)}")
-    return c
-
-
 def pinch_band(q: int, p: int, n_quot: int, tau: Fraction, c: Fraction,
                precision: int = DEFAULT_PRECISION, variant: str = "p"
                ) -> tuple[RealEnclosure, RealEnclosure, Fraction]:
@@ -100,7 +92,9 @@ def pinch_band(q: int, p: int, n_quot: int, tau: Fraction, c: Fraction,
         raise DomainError("q, p, N must be >= 1")
     if tau <= 1:
         raise DomainError("tau must exceed 1")
-    c = pinch_constant(c)
+    c = Fraction(c)
+    if c <= 0:
+        raise DomainError(f"pinch constant c must be positive, got {format_rat(c)}")
     if variant not in ("p", "q"):
         raise DomainError("variant must be 'p' or 'q'")
     anchor = Fraction(p) if variant == "p" else Fraction(q)
@@ -130,7 +124,7 @@ def exponents(tau: TauLike, checkpoints: Sequence[int] = (),
     exponents only (partial sums are omitted).
     """
     if checkpoints and min(checkpoints) < 1:
-        raise DomainError(f"checkpoint (--checkpoints) must be >= 1, got {min(checkpoints)}")
+        raise DomainError(f"checkpoint must be >= 1, got {min(checkpoints)}")
     band, pinch = series_exponents(tau)
     sums: list[tuple[int, Fraction, Fraction]] = []
     if checkpoints and not isinstance(band, Quad):
@@ -174,7 +168,7 @@ def _n_sum_with_tail(tau: Fraction, n_max: int, precision: int) -> Fraction:
     if tau <= 2:
         raise DomainError("N-tail requires tau > 2")
     if n_max < 1:
-        raise DomainError(f"n_max (--nmax) must be >= 1, got {n_max}")
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
     total = Fraction(0)
     for n in range(1, n_max + 1):
         total += 1 / power_bounds(n, tau - 1, precision)[0]

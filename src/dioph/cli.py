@@ -1,18 +1,19 @@
 """Batch command-line front end.
 
 Subcommands: cf, gamma, member, set, census, gaps, bands, sweep.
-All numeric flags are parsed as exact rationals ("0.1" means 1/10 exactly);
-no binary floating point enters the pipeline.  Output is deterministic:
-identical invocations produce identical bytes (an optional footer with a
-timestamp is off by default).  Each command offers only the formats it
-writes: set and sweep json, csv and svg; cf, gaps and bands json and csv;
-gamma, member and census json.  A command returns its text and exit code;
-run() alone writes them out and, with --cache-dir, stores them, so a request
-repeated with the same options, as typed, is served from that text.  Exit
-codes: 0 success, 1 usage error, 2 when any requested verdict is unresolved
-at the precision cap (results are still emitted, marked
-"unresolved"/"unknown"), 3 when an internal consistency check fails (a bug,
-reported as "dioph: internal error: ..." on stderr).
+All rational flags are parsed as exact rationals ("0.1" means 1/10 exactly);
+no binary floating point enters the pipeline.  Each option is parsed and
+bounded where the parser declares it, so a command reads values, never text.
+Output is deterministic: identical invocations produce identical bytes (an
+optional footer with a timestamp is off by default).  Each command offers
+only the formats it writes: set and sweep json, csv and svg; cf, gaps and
+bands json and csv; gamma, member and census json.  A command returns its
+text and exit code; run() alone writes them out and, with --cache-dir,
+stores them, so a request repeated with the same option values is served
+from that text.  Exit codes: 0 success, 1 usage error, 2 when any requested
+verdict is unresolved at the precision cap (results are still emitted,
+marked "unresolved"/"unknown"), 3 when an internal consistency check fails
+(a bug, reported as "dioph: internal error: ..." on stderr).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .svgplot import render_svg
 
 # part of every cache key: raise it when the output of a request can change,
 # so an entry written by an older program is a miss and is rewritten
-CACHE_FORMAT = 7
+CACHE_FORMAT = 8
 
 
 def _cap() -> int:
@@ -70,25 +71,32 @@ def _emit(args, text: str) -> None:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         text = text.removesuffix("\n") + f"\n# generated {stamp}\n"
     if args.out:
-        Path(args.out).write_bytes(text.encode())
+        try:
+            Path(args.out).write_bytes(text.encode())
+        except OSError as exc:
+            raise DomainError(f"--out {args.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
 
 
+def _canonical(value) -> str:
+    """A rational or an alpha option in a cache key, as the output prints it."""
+    return format_rat(value) if isinstance(value, Fraction) else value.spec()
+
+
 def _cached(args) -> tuple[str, int]:
     """The text and exit code of the request in ``args``: from its entry in
     ``--cache-dir`` when there is a valid one, else from its command, whose
-    result is then stored.  The key holds every parsed option, as typed, but
+    result is then stored.  The key holds the value of every option but
     --out, --cache-dir and --footer, which do not change the text."""
     if not args.cache_dir:
         return args.func(args)
     request = {k: v for k, v in vars(args).items()
                if k not in ("out", "cache_dir", "footer", "func")}
-    key = json.dumps([CACHE_FORMAT, request], sort_keys=True)
+    key = json.dumps([CACHE_FORMAT, request], sort_keys=True, default=_canonical)
     digest = hashlib.sha256(key.encode()).hexdigest()
     cache_dir = Path(args.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{digest}.json"
     try:
         entry = json.loads(path.read_text())
@@ -103,15 +111,19 @@ def _cached(args) -> tuple[str, int]:
         "code": code,
         "output": text,
     }
-    # a reader never sees a half-written entry
-    with tempfile.NamedTemporaryFile("w", dir=cache_dir, suffix=".tmp",
-                                     delete=False) as fh:
-        fh.write(json.dumps(entry))
-    # the temporary file is private: give the entry the mode of a plain write
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(fh.name, 0o666 & ~umask)
-    os.replace(fh.name, path)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        # a reader never sees a half-written entry
+        with tempfile.NamedTemporaryFile("w", dir=cache_dir, suffix=".tmp",
+                                         delete=False) as fh:
+            fh.write(json.dumps(entry))
+        # the temporary file is private: give the entry the mode of a plain write
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(fh.name, 0o666 & ~umask)
+        os.replace(fh.name, path)
+    except OSError as exc:
+        raise DomainError(f"--cache-dir {args.cache_dir!r}: {exc.strerror}") from None
     return text, code
 
 
@@ -119,44 +131,12 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _rat(text: str, option: str) -> Fraction:
-    """The rational given to `option`."""
-    try:
-        return parse_rat(text)
-    except DomainError:
-        raise DomainError(f"{option} expects a rational, got {text!r}") from None
-
-
-def _rat_list(text: str, option: str) -> list[Fraction]:
-    """The rationals of the comma list given to `option`, at least one."""
-    try:
-        values = [parse_rat(part) for part in text.split(",") if part.strip()]
-        if values:
-            return values
-    except DomainError:
-        pass
-    raise DomainError(f"{option} expects a comma list of rationals, got {text!r}")
-
-
-def _int_list(text: str, option: str, length: Optional[int] = None) -> list[int]:
-    """The integers of the comma list given to `option`, at least one, and
-    `length` of them when set."""
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-        if values and length in (None, len(values)):
-            return values
-    except ValueError:
-        pass
-    what = "integers" if length is None else f"{length} integers"
-    raise DomainError(f"{option} expects a comma list of {what}, got {text!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_cf(args) -> tuple[str, int]:
-    alpha = parse_alpha(args.alpha)
+    alpha = args.alpha
     quotients = cf_expand(alpha, args.depth)
     table = convergents(quotients)
     pre = per = None
@@ -193,14 +173,12 @@ def _gamma_result_obj(res: quality.GammaResult):
 
 
 def _cmd_gamma(args) -> tuple[str, int]:
-    alpha = parse_alpha(args.alpha)
-    tau = _rat(args.tau, "--tau")
-    res, even, odd, quality_rows = _gamma_report(alpha, tau, args.depth, args.prec)
+    res, even, odd, quality_rows = _gamma_report(args.alpha, args.tau, args.depth, args.prec)
     rows = [{"n": row.n, "q": row.q, "p": row.p, "enclosure": row.enclosure.to_obj()}
             for row in quality_rows]
     payload = {
-        "alpha": alpha.spec(),
-        "tau": format_rat(tau),
+        "alpha": args.alpha.spec(),
+        "tau": format_rat(args.tau),
         "gamma": _gamma_result_obj(res),
         "gamma_even": _gamma_result_obj(even),
         "gamma_odd": _gamma_result_obj(odd),
@@ -210,13 +188,11 @@ def _cmd_gamma(args) -> tuple[str, int]:
 
 
 def _cmd_member(args) -> tuple[str, int]:
-    alpha = parse_alpha(args.alpha)
-    verdict = quality.membership(alpha, _rat(args.gamma, "--gamma"), _rat(args.tau, "--tau"),
-                                 args.budget, args.prec)
+    verdict = quality.membership(args.alpha, args.gamma, args.tau, args.budget, args.prec)
     payload = {
-        "alpha": alpha.spec(),
-        "gamma": args.gamma,
-        "tau": args.tau,
+        "alpha": args.alpha.spec(),
+        "gamma": format_rat(args.gamma),
+        "tau": format_rat(args.tau),
         "verdict": verdict.kind,
         "certified": verdict.certified,
         "witness_q": verdict.witness_q,
@@ -238,24 +214,21 @@ def _alpha_ticks(alpha, qmax: int):
 
 
 def _cmd_set(args) -> tuple[str, int]:
-    gamma, tau = _rat(args.gamma, "--gamma"), _rat(args.tau, "--tau")
-    # only the svg ticks read it, but every format checks it
-    alpha = parse_alpha(args.alpha) if args.alpha else None
-    if tau > 2 and args.format == "json":  # the bracket's outer set is the truncated set
-        bracket = dioset.set_bracket(gamma, tau, args.qmax, args.prec)
+    if args.tau > 2 and args.format == "json":  # the bracket's outer set is the truncated set
+        bracket = dioset.set_bracket(args.gamma, args.tau, args.qmax, args.prec)
         s, tail = bracket.outer, format_rat(bracket.tail_measure_bound)
     else:
-        s, tail = dioset.truncated_set(gamma, tau, args.qmax, args.prec), None
+        s, tail = dioset.truncated_set(args.gamma, args.tau, args.qmax, args.prec), None
     if args.format == "svg":
-        label = f"g={format_rat(gamma)} Q={args.qmax}"
-        return render_svg([(label, s)], _alpha_ticks(alpha, args.qmax)), 0
+        label = f"g={format_rat(args.gamma)} Q={args.qmax}"
+        return render_svg([(label, s)], _alpha_ticks(args.alpha, args.qmax)), 0
     intervals = s.to_obj()
     if args.format == "csv":
         lines = [f"{lo},{hi}" for lo, hi in intervals]
         return "\n".join(lines) + ("\n" if lines else ""), 0
     payload = {
-        "gamma": format_rat(gamma),
-        "tau": format_rat(tau),
+        "gamma": format_rat(args.gamma),
+        "tau": format_rat(args.tau),
         "qmax": args.qmax,
         "intervals": intervals,
         "measure": format_rat(s.measure),
@@ -265,23 +238,17 @@ def _cmd_set(args) -> tuple[str, int]:
 
 
 def _cmd_census(args) -> tuple[str, int]:
-    alpha = parse_alpha(args.alpha)
-    rec = topology.census(alpha, _rat(args.gamma, "--gamma"), _rat(args.tau, "--tau"),
-                          args.n, args.qmax, args.prec)
-    payload = {"alpha": alpha.spec()}
+    rec = topology.census(args.alpha, args.gamma, args.tau, args.n, args.qmax, args.prec)
+    payload = {"alpha": args.alpha.spec()}
     payload.update(topology.census_obj(rec))
     return _json(payload), 0
 
 
 def _cmd_gaps(args) -> tuple[str, int]:
-    alpha = parse_alpha(args.alpha)
-    gamma, tau = _rat(args.gamma, "--gamma"), _rat(args.tau, "--tau")
-    if args.depth < 2:
-        raise DomainError(f"depth (--depth) must be >= 2, got {args.depth}")
     reports = []
     unresolved = False
     for n in range(0, args.depth - 1):
-        rep = topology.gap_report(alpha, gamma, tau, n, args.prec)
+        rep = topology.gap_report(args.alpha, args.gamma, args.tau, n, args.prec)
         unresolved = unresolved or topology.UNRESOLVED in (rep.gap, rep.gap_strict)
         reports.append(rep)
     code = 2 if unresolved else 0
@@ -290,20 +257,22 @@ def _cmd_gaps(args) -> tuple[str, int]:
         lines += [f"{r.n},{r.a_actual},{r.gap},{r.gap_strict}" for r in reports]
         return "\n".join(lines) + "\n", code
     payload = {
-        "alpha": alpha.spec(),
-        "gamma": format_rat(gamma),
-        "tau": format_rat(tau),
+        "alpha": args.alpha.spec(),
+        "gamma": format_rat(args.gamma),
+        "tau": format_rat(args.tau),
         "reports": [topology.gap_report_obj(r) for r in reports],
     }
     return _json(payload), code
 
 
 def _cmd_bands(args) -> tuple[str, int]:
-    tau = _rat(args.tau, "--tau")
-    checkpoints = _int_list(args.checkpoints, "--checkpoints") if args.checkpoints else []
-    report = bands_mod.exponents(tau, checkpoints, precision=64)
+    if args.c1 >= args.c2:
+        raise DomainError(f"--c1 must be below --c2, got {args.c1} and {args.c2}")
+    if args.m is not None and args.m > args.qmax:
+        raise DomainError(f"--m must be at most --qmax, got {args.m} and {args.qmax}")
+    report = bands_mod.exponents(args.tau, args.checkpoints, precision=64)
     payload = {
-        "tau": format_rat(tau),
+        "tau": format_rat(args.tau),
         "band_exponent": format_rat(Fraction(report.band_exponent)),
         "pinch_exponent": format_rat(Fraction(report.pinch_exponent)),
         "band_converges": report.band_converges,
@@ -312,11 +281,9 @@ def _cmd_bands(args) -> tuple[str, int]:
             [m, format_rat(lo), format_rat(hi)] for m, lo, hi in report.partial_sums
         ],
     }
-    band_records = []
-    if args.band:
-        for triple in args.band.split(";"):
-            q, p, nq = _int_list(triple, "--band", 3)
-            band_records.append(bands_mod.gamma_band(q, p, nq, tau, args.prec))
+    band_records = [bands_mod.gamma_band(q, p, nq, args.tau, args.prec)
+                    for q, p, nq in args.band]
+    if band_records:
         payload["bands"] = [
             {
                 "q": b.q, "p": b.p, "N": b.n_quot,
@@ -325,25 +292,21 @@ def _cmd_bands(args) -> tuple[str, int]:
             }
             for b in band_records
         ]
-    # checked with or without --band, once the bands it qualifies are built
-    pinch_c = (None if args.pinch_c is None
-               else bands_mod.pinch_constant(_rat(args.pinch_c, "--pinch-c")))
-    if band_records and pinch_c is not None:
+    if band_records and args.pinch_c is not None:
         pinch = []
         for b in band_records:
-            lo, hi, wb = bands_mod.pinch_band(b.q, b.p, b.n_quot, tau, pinch_c,
+            lo, hi, wb = bands_mod.pinch_band(b.q, b.p, b.n_quot, args.tau, args.pinch_c,
                                               args.prec, args.band_variant)
             pinch.append({"q": b.q, "p": b.p, "N": b.n_quot,
                           "lo": lo.to_obj(), "hi": hi.to_obj(),
                           "width_bound": format_rat(wb)})
         payload["pinch_bands"] = pinch
     if args.m is not None:
-        c1, c2 = _rat(args.c1, "--c1"), _rat(args.c2, "--c2")
-        payload["union_measure"] = format_rat(
-            bands_mod.bands_union_measure(tau, c1, c2, args.m, args.qmax, args.nmax, args.prec))
+        payload["union_measure"] = format_rat(bands_mod.bands_union_measure(
+            args.tau, args.c1, args.c2, args.m, args.qmax, args.nmax, args.prec))
         try:
-            payload["union_tail"] = format_rat(
-                bands_mod.bands_union_tail(tau, c1, c2, args.qmax, args.nmax, args.prec))
+            payload["union_tail"] = format_rat(bands_mod.bands_union_tail(
+                args.tau, args.c1, args.c2, args.qmax, args.nmax, args.prec))
         except DomainError:
             payload["union_tail"] = None  # divergent series at this tau
     if args.format == "csv":
@@ -356,20 +319,15 @@ def _cmd_bands(args) -> tuple[str, int]:
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
-    tau = _rat(args.tau, "--tau")
-    gammas = (_rat_list(args.gamma_list, "--gamma-list") if args.gamma_list
-              else [_rat(args.gamma, "--gamma")])
-    qmaxes = _int_list(args.qmax_list, "--qmax-list") if args.qmax_list else [args.qmax]
-    # only the svg ticks read it, but every format checks it
-    alpha = parse_alpha(args.alpha) if args.alpha else None
+    qmaxes = args.qmax_list or [args.qmax]
     rows = []
-    for gamma in gammas:
+    for gamma in args.gamma_list or [args.gamma]:
         for qmax in qmaxes:
             label = f"g={format_rat(gamma)} Q={qmax}"
             rows.append((label, gamma, qmax,
-                         dioset.truncated_set(gamma, tau, qmax, args.prec)))
+                         dioset.truncated_set(gamma, args.tau, qmax, args.prec)))
     if args.format == "svg":
-        ticks = _alpha_ticks(alpha, max(qmaxes))
+        ticks = _alpha_ticks(args.alpha, max(qmaxes))
         return render_svg([(label, s) for label, _g, _q, s in rows], ticks), 0
     if args.format == "csv":
         lines = ["label,lo,hi"]
@@ -381,7 +339,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
         {
             "label": label,
             "gamma": format_rat(g),
-            "tau": format_rat(tau),
+            "tau": format_rat(args.tau),
             "qmax": q,
             "intervals": s.to_obj(),
             "measure": format_rat(s.measure),
@@ -395,6 +353,49 @@ def _cmd_sweep(args) -> tuple[str, int]:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _typed(parse, expects: Optional[str], ok=None, must: str = ""):
+    """An option's argparse type: the value that `parse` makes of its text,
+    which must pass `ok` when one is set.  A text that `parse` rejects is
+    reported as not what the option `expects` (in the parse's own words when
+    that is None), a value that `ok` rejects as not what it `must` be."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (DomainError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(
+                str(exc) if expects is None else f"expects {expects}, got {text!r}") from None
+        if ok is not None and not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {must}, got {text!r}")
+        return value
+    return convert
+
+
+def _items(parse):
+    """The parse of a comma list of `parse` items, empty ones skipped: at
+    least one, except in the empty text, which leaves the list unset."""
+    def items(text: str) -> list:
+        values = [parse(part) for part in text.split(",") if part.strip()]
+        if text and not values:
+            raise ValueError(text)
+        return values
+    return items
+
+
+def _triples(text: str) -> list[tuple[int, ...]]:
+    """The q,p,N triples of a semicolon list, none in the empty text."""
+    triples = [tuple(_items(int)(part)) for part in text.split(";")] if text else []
+    if any(len(t) != 3 for t in triples):
+        raise ValueError(text)
+    return triples
+
+
+_POSITIVE = _typed(parse_rat, "a rational", lambda v: v > 0, "> 0")
+_HALF = _typed(parse_rat, "a rational", lambda v: 0 < v < Fraction(1, 2), "in (0, 1/2)")
+_COUNT = _typed(int, "an integer", lambda v: v >= 1, ">= 1")
+_COUNTS = _typed(_items(int), "a comma list of integers",
+                 lambda vs: all(v >= 1 for v in vs), "integers >= 1")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise DomainError(message)
@@ -407,17 +408,17 @@ def _build_parser() -> _Parser:
 
     def common(p, formats, alpha=False, gamma=False, tau=False, qmax=None, depth=None):
         if alpha:
-            p.add_argument("--alpha", required=alpha == "required",
+            p.add_argument("--alpha", type=_typed(parse_alpha, None), required=alpha == "required",
                            help="rat:7/10 | quad:P,D,Q | cf:[0;1,2,3]")
         if gamma:
-            p.add_argument("--gamma", required=True)
+            p.add_argument("--gamma", type=_POSITIVE, required=True)
         if tau:
-            p.add_argument("--tau", required=True)
+            p.add_argument("--tau", type=_typed(parse_rat, "a rational"), required=True)
         if qmax is not None:
-            p.add_argument("--qmax", type=int, default=qmax)
+            p.add_argument("--qmax", type=_COUNT, default=qmax)
         if depth is not None:
-            p.add_argument("--depth", type=int, default=depth)
-        p.add_argument("--prec", type=int, default=DEFAULT_PRECISION,
+            p.add_argument("--depth", type=_COUNT, default=depth)
+        p.add_argument("--prec", type=_COUNT, default=DEFAULT_PRECISION,
                        help="working precision in bits (capped by DIOPH_PRECISION_CAP)")
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
@@ -435,7 +436,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("member", help="certified membership verdict")
     common(p, ("json",), alpha="required", gamma=True, tau=True)
-    p.add_argument("--budget", type=int, default=40)
+    p.add_argument("--budget", type=_COUNT, default=40)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("set", help="exact truncated set")
@@ -444,34 +445,39 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("census", help="window measure census between convergents")
     common(p, ("json",), alpha="required", gamma=True, tau=True, qmax=1000)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_typed(int, "an integer", lambda v: v >= 0, ">= 0"),
+                   required=True)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("gaps", help="gap condition reports for n = 0..depth-2")
-    common(p, ("json", "csv"), alpha="required", gamma=True, tau=True, depth=12)
+    common(p, ("json", "csv"), alpha="required", gamma=True, tau=True)
+    p.add_argument("--depth", type=_typed(int, "an integer", lambda v: v >= 2, ">= 2"),
+                   default=12)
     p.set_defaults(func=_cmd_gaps)
 
     p = sub.add_parser("bands", help="series exponents, band tables, union bounds")
     common(p, ("json", "csv"), tau=True, qmax=30)
-    p.add_argument("--checkpoints", default=None,
+    p.add_argument("--checkpoints", type=_COUNTS, default="",
                    help="comma list of partial-sum checkpoints")
-    p.add_argument("--band", default=None,
-                   help="semicolon list of q,p,N triples for band records")
-    p.add_argument("--pinch-c", dest="pinch_c", default=None,
+    p.add_argument("--band", type=_typed(_triples, "a semicolon list of q,p,N integer triples"),
+                   default="", help="semicolon list of q,p,N triples for band records")
+    p.add_argument("--pinch-c", dest="pinch_c", type=_POSITIVE, default=None,
                    help="constant for the second band family")
     p.add_argument("--band-variant", dest="band_variant", choices=("p", "q"),
                    default="p")
-    p.add_argument("--m", type=int, default=None, help="lower q cutoff for the union bound")
-    p.add_argument("--c1", default="1/20")
-    p.add_argument("--c2", default="9/20")
-    p.add_argument("--nmax", type=int, default=64)
+    p.add_argument("--m", type=_COUNT, default=None, help="lower q cutoff for the union bound")
+    p.add_argument("--c1", type=_HALF, default="1/20")
+    p.add_argument("--c2", type=_HALF, default="9/20")
+    p.add_argument("--nmax", type=_COUNT, default=64)
     p.set_defaults(func=_cmd_bands)
 
     p = sub.add_parser("sweep", help="ladder of truncated sets over gamma or Q")
     common(p, ("json", "csv", "svg"), alpha=True, gamma=False, tau=True, qmax=50)
-    p.add_argument("--gamma", default="1/10")
-    p.add_argument("--gamma-list", dest="gamma_list", default=None)
-    p.add_argument("--qmax-list", dest="qmax_list", default=None)
+    p.add_argument("--gamma", type=_POSITIVE, default="1/10")
+    p.add_argument("--gamma-list", dest="gamma_list", default="",
+                   type=_typed(_items(parse_rat), "a comma list of rationals",
+                               lambda vs: all(v > 0 for v in vs), "rationals > 0"))
+    p.add_argument("--qmax-list", dest="qmax_list", type=_COUNTS, default="")
     p.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -482,17 +488,15 @@ def run(argv=None) -> int:
     3 internal error)."""
     try:
         args = _build_parser().parse_args(argv)
-        if args.prec < 1:
-            raise DomainError(f"precision (--prec) must be >= 1, got {args.prec}")
         args.prec = min(args.prec, _cap())
         text, code = _cached(args)
+        _emit(args, text)
     except DomainError as exc:
         print(f"dioph: error: {exc}", file=sys.stderr)
         return 1
     except InternalConsistencyError as exc:
         print(f"dioph: internal error: {exc}", file=sys.stderr)
         return 3
-    _emit(args, text)
     return code
 
 

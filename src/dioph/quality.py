@@ -222,13 +222,12 @@ def _enclosure_minimum(rows: list[QualityRow]) -> tuple[Fraction, Fraction, tupl
             tuple(r.n for r in rows if r.enclosure.lo <= upper))
 
 
-def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int,
-                depth_name: str = "depth") -> _GammaRows:
+def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int) -> _GammaRows:
     tau = Fraction(tau)
     if tau < 1:
         raise DomainError("tau must be >= 1")
     if depth < 1:
-        raise DomainError(f"{depth_name} must be >= 1")
+        raise DomainError("depth must be >= 1")
     return _GammaRows(alpha, tau, alpha.depth_used(depth), precision)
 
 
@@ -402,7 +401,9 @@ def _membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise DomainError("gamma must be positive")
-    g = _gamma_rows(alpha, tau, depth_budget, precision, "depth budget (--budget)")
+    if depth_budget < 1:
+        raise DomainError("depth budget must be >= 1")
+    g = _gamma_rows(alpha, tau, depth_budget, precision)
     _check_unit_interval(alpha)
     depth = g.depth
     if alpha.terminates:

@@ -171,7 +171,7 @@ def census(alpha: AlphaSpec, gamma: Fraction, tau: Fraction, n: int, qmax: int,
     if tau <= 1:
         raise DomainError("window tail bound requires tau > 1")
     if n < 0:
-        raise DomainError(f"window index n (--n) must be >= 0, got {n}")
+        raise DomainError(f"window index n must be >= 0, got {n}")
     table = _table_to(alpha, n + 2)
     q_n2 = table.denom(n + 2)
     if qmax < q_n2:

@@ -508,7 +508,7 @@ def reference_membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
     if tau < 1:
         raise DomainError("tau must be >= 1")
     if depth_budget < 1:  # a usage error, like a depth below 1
-        raise DomainError("depth budget (--budget) must be >= 1")
+        raise DomainError("depth budget must be >= 1")
     _check_unit_interval(alpha)
     g = _GammaRows(alpha, tau, alpha.depth_used(depth_budget), precision)
     depth = g.depth

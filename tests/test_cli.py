@@ -1,4 +1,6 @@
 import argparse
+import ast
+import errno
 import hashlib
 import json
 import os
@@ -130,6 +132,21 @@ def test_set_cache_transparency(tmp_path):
                           args + ["--cache-dir", str(cache)])
     assert plain == miss == hit
     assert list(cache.glob("*.json"))  # the entry was materialized
+
+
+def test_the_cache_key_holds_the_option_values(tmp_path):
+    # one value typed two ways is one request: one entry, one output
+    cache = tmp_path / "cache"
+    outputs = set()
+    for gamma, tau in (("0.375", "1.0"), ("3/8", "1")):
+        code, data = _run_to_file(tmp_path, "m.json",
+                                  ["member", "--alpha", "quad:-1,5,2", "--gamma", gamma,
+                                   "--tau", tau, "--cache-dir", str(cache)])
+        assert code == 0
+        outputs.add(data)
+    [data] = outputs
+    assert (json.loads(data)["gamma"], json.loads(data)["tau"]) == ("3/8", "1")
+    assert len(list(cache.glob("*.json"))) == 1
 
 
 def test_set_cache_entry_follows_the_umask(tmp_path):
@@ -287,7 +304,7 @@ def test_bands_command(tmp_path):
 def test_bands_nmax_below_one_names_the_option(capsys, nmax):
     argv = ["bands", "--tau", "5", "--m", "2", "--qmax", "10", "--nmax", nmax]
     assert run(argv) == 1
-    assert capsys.readouterr().err == f"dioph: error: n_max (--nmax) must be >= 1, got {nmax}\n"
+    assert capsys.readouterr().err == f"dioph: error: argument --nmax: must be >= 1, got '{nmax}'\n"
 
 
 @pytest.mark.parametrize("n", ["-1", "-2"])
@@ -295,13 +312,13 @@ def test_census_rejects_a_negative_window_index(capsys, n):
     argv = ["census", "--alpha", "quad:-1,5,2", "--gamma", "1/6", "--tau", "3",
             "--n", n, "--qmax", "51"]
     assert run(argv) == 1
-    assert capsys.readouterr().err == f"dioph: error: window index n (--n) must be >= 0, got {n}\n"
+    assert capsys.readouterr().err == f"dioph: error: argument --n: must be >= 0, got '{n}'\n"
 
 
 @pytest.mark.parametrize("gamma", ["0", "-1/10"])
 def test_gaps_rejects_gamma_at_most_zero(capsys, gamma):
     assert run(["gaps", "--alpha", "quad:-1,5,2", f"--gamma={gamma}", "--tau", "4"]) == 1
-    assert capsys.readouterr() == ("", "dioph: error: gamma must be positive\n")
+    assert capsys.readouterr() == ("", f"dioph: error: argument --gamma: must be > 0, got '{gamma}'\n")
 
 
 def test_bad_options_name_the_option(capsys):
@@ -309,23 +326,23 @@ def test_bad_options_name_the_option(capsys):
     message that names the option."""
     requests = {
         ("bands", "--tau", "4", "--band", "1,2"):
-            "--band expects a comma list of 3 integers, got '1,2'",
+            "argument --band: expects a semicolon list of q,p,N integer triples, got '1,2'",
         ("bands", "--tau", "4", "--checkpoints", "x"):
-            "--checkpoints expects a comma list of integers, got 'x'",
+            "argument --checkpoints: expects a comma list of integers, got 'x'",
         ("sweep", "--tau", "4", "--qmax-list", "3,x"):
-            "--qmax-list expects a comma list of integers, got '3,x'",
-        # gamma 0 is rejected too, but only once a gap is to be read
+            "argument --qmax-list: expects a comma list of integers, got '3,x'",
+        # of two bad options, the first in argv order
         ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "0", "--tau", "4", "--depth", "1"):
-            "depth (--depth) must be >= 2, got 1",
+            "argument --gamma: must be > 0, got '0'",
         ("bands", "--tau", "4", "--checkpoints", "0,-5"):
-            "checkpoint (--checkpoints) must be >= 1, got -5",
+            "argument --checkpoints: must be integers >= 1, got '0,-5'",
         ("member", "--alpha", "cf:[0;1,2,3,4,5,6,7]", "--gamma", "1/10", "--tau", "2",
          "--budget=-3"):
-            "depth budget (--budget) must be >= 1",
+            "argument --budget: must be >= 1, got '-3'",
         ("member", "--alpha", "rat:3/7", "--gamma", "1/10", "--tau", "2", "--budget=0"):
-            "depth budget (--budget) must be >= 1",
+            "argument --budget: must be >= 1, got '0'",
         ("cf", "--alpha", "quad:-1,5,2", "--depth", "2", "--prec=0"):
-            "precision (--prec) must be >= 1, got 0",
+            "argument --prec: must be >= 1, got '0'",
         ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "0", "--depth", "3"):
             "tau must be >= 1",
         ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau=-3"):
@@ -333,47 +350,83 @@ def test_bad_options_name_the_option(capsys):
         ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "1/2"):
             "tau must be >= 1",
         ("sweep", "--tau", "4", "--qmax-list", ",", "--format", "svg"):
-            "--qmax-list expects a comma list of integers, got ','",
+            "argument --qmax-list: expects a comma list of integers, got ','",
         ("sweep", "--tau", "4", "--gamma-list", ",", "--format", "svg"):
-            "--gamma-list expects a comma list of rationals, got ','",
+            "argument --gamma-list: expects a comma list of rationals, got ','",
         ("set", "--gamma", "1/10", "--tau", "4", "--qmax", "3", "--alpha", "bogus"):
-            "unknown alpha spec 'bogus' (use rat:, quad:, cf:)",
+            "argument --alpha: unknown alpha spec 'bogus' (use rat:, quad:, cf:)",
         ("sweep", "--tau", "4", "--qmax-list", "3", "--format", "csv", "--alpha", "bogus"):
-            "unknown alpha spec 'bogus' (use rat:, quad:, cf:)",
+            "argument --alpha: unknown alpha spec 'bogus' (use rat:, quad:, cf:)",
         ("bands", "--tau", "4", "--band", "2,3,4", "--pinch-c=-1"):
-            "pinch constant c (--pinch-c) must be positive, got -1",
+            "argument --pinch-c: must be > 0, got '-1'",
         ("bands", "--tau", "4", "--band", "2,3,4", "--pinch-c", "0"):
-            "pinch constant c (--pinch-c) must be positive, got 0",
+            "argument --pinch-c: must be > 0, got '0'",
         # checked without --band too
         ("bands", "--tau", "4", "--pinch-c=-1"):
-            "pinch constant c (--pinch-c) must be positive, got -1",
+            "argument --pinch-c: must be > 0, got '-1'",
         ("bands", "--tau", "4", "--pinch-c", "x"):
-            "--pinch-c expects a rational, got 'x'",
+            "argument --pinch-c: expects a rational, got 'x'",
         ("bands", "--tau", "4", "--band", "2,3,4", "--pinch-c="):
-            "--pinch-c expects a rational, got ''",
+            "argument --pinch-c: expects a rational, got ''",
         # a malformed rational names its option; of two, the first parsed
         ("gamma", "--alpha", "rat:1/3", "--tau", "x"):
-            "--tau expects a rational, got 'x'",
+            "argument --tau: expects a rational, got 'x'",
         ("member", "--alpha", "rat:1/3", "--gamma", "x", "--tau", "y"):
-            "--gamma expects a rational, got 'x'",
+            "argument --gamma: expects a rational, got 'x'",
         ("set", "--gamma", "1/10", "--tau", "1/0", "--qmax", "3"):
-            "--tau expects a rational, got '1/0'",
+            "argument --tau: expects a rational, got '1/0'",
         ("census", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "4x", "--n", "1"):
-            "--tau expects a rational, got '4x'",
+            "argument --tau: expects a rational, got '4x'",
         ("gaps", "--alpha", "quad:-1,5,2", "--gamma", "", "--tau", "4"):
-            "--gamma expects a rational, got ''",
+            "argument --gamma: expects a rational, got ''",
         ("bands", "--tau", "4", "--m", "2", "--c1", "x", "--c2", "y"):
-            "--c1 expects a rational, got 'x'",
+            "argument --c1: expects a rational, got 'x'",
         ("bands", "--tau", "4", "--m", "2", "--c2", "1/"):
-            "--c2 expects a rational, got '1/'",
+            "argument --c2: expects a rational, got '1/'",
         ("sweep", "--tau", "4", "--gamma", "x"):
-            "--gamma expects a rational, got 'x'",
+            "argument --gamma: expects a rational, got 'x'",
         ("sweep", "--tau", "4", "--gamma-list", "1/10,x"):
-            "--gamma-list expects a comma list of rationals, got '1/10,x'",
+            "argument --gamma-list: expects a comma list of rationals, got '1/10,x'",
+        # each bounded in its own declaration, and checked against each other
+        ("bands", "--tau", "4", "--m", "2", "--c1", "1/2", "--c2", "1/4"):
+            "argument --c1: must be in (0, 1/2), got '1/2'",
+        ("bands", "--tau", "4", "--m", "2", "--c1", "1/4", "--c2", "1/5"):
+            "--c1 must be below --c2, got 1/4 and 1/5",
+        ("bands", "--tau", "4", "--m", "40", "--qmax", "30"):
+            "--m must be at most --qmax, got 40 and 30",
     }
     for argv, message in requests.items():
         assert run(list(argv)) == 1
         assert capsys.readouterr() == ("", f"dioph: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, option, value, bound", [
+    (["bands", "--tau", "4"], "--qmax", "0", ">= 1"),
+    (["bands", "--tau", "4"], "--nmax", "0", ">= 1"),
+    (["bands", "--tau", "4"], "--m", "0", ">= 1"),
+    (["set", "--gamma", "1/10", "--tau", "4"], "--qmax", "0", ">= 1"),
+    (["cf", "--alpha", "quad:-1,5,2"], "--depth", "0", ">= 1"),
+    (["census", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "4", "--n", "1"],
+     "--qmax", "0", ">= 1"),
+    (["gaps", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "4"], "--depth", "1", ">= 2"),
+])
+def test_an_option_is_bounded_whatever_reads_it(capsys, argv, option, value, bound):
+    # bands reads --qmax and --nmax only with --m, yet checks them without it
+    assert run([*argv, option, value]) == 1
+    assert capsys.readouterr() == ("", f"dioph: error: argument {option}: must be {bound}, "
+                                       f"got '{value}'\n")
+
+
+@pytest.mark.parametrize("option, path, reason", [
+    ("--cache-dir", "file", errno.EEXIST),
+    ("--out", "missing/set.json", errno.ENOENT),
+])
+def test_an_unusable_path_names_its_option(tmp_path, capsys, option, path, reason):
+    (tmp_path / "file").write_text("")
+    path = str(tmp_path / path)
+    assert run(["set", "--gamma", "1/10", "--tau", "4", "--qmax", "2", option, path]) == 1
+    assert capsys.readouterr() == ("", f"dioph: error: {option} {path!r}: "
+                                       f"{os.strerror(reason)}\n")
 
 
 def test_sweep_command(tmp_path):
@@ -437,6 +490,41 @@ def test_every_format_a_command_accepts_is_written(tmp_path, capsys):
                     json.loads(text)
     assert run(["gamma", *_SMALL_REQUESTS["gamma"], "--format", "csv"]) == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_every_typed_option_rejects_a_bad_value_by_name(capsys):
+    """Each value an option's type rejects ends the request with exit 1 and
+    one line naming the option, whichever command declares it."""
+    [commands] = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in commands.choices.items():
+        for action in parser._actions:
+            if action.type is None:
+                continue
+            [option] = action.option_strings
+            if isinstance(action.default, str):
+                action.type(action.default)  # a string default passes its own type
+            for value in ("0", "-1", "x", ""):
+                try:
+                    action.type(value)
+                    continue
+                except argparse.ArgumentTypeError as exc:
+                    message = f"dioph: error: argument {option}: {exc}\n"
+                assert run([name, *_SMALL_REQUESTS[name], f"{option}={value}"]) == 1
+                assert capsys.readouterr() == ("", message), (name, option, value)
+
+
+def test_no_command_parses_an_option():
+    """Options reach a command parsed: no _cmd_* body parses a rational or an
+    alpha, or makes an integer of an option."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("parse_rat", "parse_alpha"), fn.name
+                assert not (node.func.id == "int" and "args" in ast.unparse(node)), fn.name
 
 
 def test_the_parser_is_built_once(tmp_path, monkeypatch):

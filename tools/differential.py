@@ -19,8 +19,12 @@ that tree's ``src`` first on ``sys.path``.  The list holds
   with a malformed ``--alpha``, bad specs and flags, a bad
   ``DIOPH_PRECISION_CAP``);
 * the fixed requests of ``fixed_cli_requests``: ``gamma``, ``member`` and
-  ``cf`` on radicands of 41 to 60 bits (``BIG_ROOTS``), and one malformed
-  rational for each option that takes a rational;
+  ``cf`` on radicands of 41 to 60 bits (``BIG_ROOTS``), one malformed
+  rational for each option that takes a rational, and the out-of-range
+  options of ``OPTION_PROBES`` (``bands --qmax 0`` and ``bands --nmax 0``
+  without ``--m``, ``bands --c1 1/2 --c2 1/4``, ``bands --m`` above
+  ``--qmax``, ``set``/``sweep --qmax 0``, ``cf``/``gamma --depth 0`` and
+  ``census --qmax 0``);
 * ``BF_CALLS`` calls of ``brute_force_gamma`` on seeded rational, quadratic
   and prefix alphas (a third each; prefixes with and without a tail bound)
   over nine taus, Qmax <= 600 and precision 1, 4, 8, 32, 64 or 256;
@@ -219,11 +223,24 @@ MALFORMED_RATIONALS = (
     ["bands", "--tau", "4", "--m", "2", "--c2", "1/"],
     ["sweep", "--tau", "4", "--gamma-list", "1/10,x"],
 )
+OPTION_PROBES = (
+    ["bands", "--tau", "4", "--qmax", "0"],
+    ["bands", "--tau", "4", "--nmax", "0"],
+    ["bands", "--tau", "4", "--m", "2", "--c1", "1/2", "--c2", "1/4"],
+    ["bands", "--tau", "4", "--m", "40", "--qmax", "30"],
+    ["set", "--gamma", "1/10", "--tau", "4", "--qmax", "0"],
+    ["sweep", "--tau", "4", "--qmax", "0"],
+    ["cf", "--alpha", "quad:-1,5,2", "--depth", "0"],
+    ["gamma", "--alpha", "quad:-1,5,2", "--tau", "1", "--depth", "0"],
+    ["census", "--alpha", "quad:-1,5,2", "--gamma", "1/10", "--tau", "4", "--n", "1",
+     "--qmax", "0"],
+)
 
 
 def fixed_cli_requests() -> list[dict]:
     """Unit alphas (P + sqrt(D))/Q over each radicand of ``BIG_ROOTS``, with
-    Q = 1, Q = 3 (tails over 9*D) and Q = -7, then ``MALFORMED_RATIONALS``."""
+    Q = 1, Q = 3 (tails over 9*D) and Q = -7, then ``MALFORMED_RATIONALS``
+    and ``OPTION_PROBES``."""
     argvs = []
     for x in BIG_ROOTS:
         d = x * x + 1
@@ -233,7 +250,7 @@ def fixed_cli_requests() -> list[dict]:
                        "--budget", "12"],
                       ["cf", "--alpha", alpha, "--depth", "16"]]
     return [{"kind": "cli", "argv": argv, "env": {}}
-            for argv in argvs + list(map(list, MALFORMED_RATIONALS))]
+            for argv in argvs + list(map(list, MALFORMED_RATIONALS + OPTION_PROBES))]
 
 
 def bf_request(rng: random.Random, kind: str) -> dict:
