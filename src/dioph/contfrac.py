@@ -25,6 +25,8 @@ Every kind answers the same questions, so no other module tests the kind:
   a ``Quad`` for a quadratic, and for a prefix a ``Real``, the image of
   [tail_low, tail_high].  Past the end of a prefix without ``tail_high`` it
   raises ``InsufficientDataError``, as no bounded enclosure exists there.
+* ``tail_state(n)`` — ``(P_n, Q_n, D)`` with alpha_n = (P_n + sqrt(D))/Q_n
+  for a quadratic; ``None`` for a rational or a prefix.
 * ``real()``, ``reflect()`` (1 - alpha, same kind) and ``spec()`` (CLI form).
 * ``depth_used(depth)`` — the deepest row a bracket reads: the last row of a
   rational, at least the preperiod of a quadratic, at most a prefix's end.
@@ -95,6 +97,9 @@ class RationalAlpha:
             raise UndefinedTailError(f"rational expansion has {len(qs)} quotients")
         return value_of(qs[n:])
 
+    def tail_state(self, n: int) -> None:
+        return None
+
     def real(self) -> Fraction:
         return self.value
 
@@ -159,6 +164,9 @@ class QuadraticAlpha:
 
     def tail(self, n: int) -> Quad:
         return self._surd(*self._state(n)[:2])
+
+    def tail_state(self, n: int) -> tuple[int, int, int]:
+        return self._state(n)[:2] + (self._radicand[1],)
 
     real = value
 
@@ -296,6 +304,9 @@ class PrefixAlpha:
             at_hi = Fraction(pk * hi.numerator + pk1 * hi.denominator,
                              qk * hi.numerator + qk1 * hi.denominator)
         return Real.from_interval(min(at_lo, at_hi), max(at_lo, at_hi))
+
+    def tail_state(self, n: int) -> None:
+        return None
 
     def real(self) -> Real:
         return self.tail(0)

@@ -5,12 +5,15 @@ p_n/q_n of alpha; its infimum over n (equivalently over all positive q) is
 the largest gamma for which alpha satisfies ||q*alpha|| >= gamma/q^tau for
 every q.  Every row is computed along two independent routes — the direct
 distance definition and the tail identity q_n^tau/(alpha_{n+1} q_n + q_{n-1})
-— and the reported enclosure is their intersection.
+— and the reported enclosure is their intersection.  For a quadratic at
+integer tau both routes are built on the integer states of its expansion and
+compared by one integer identity (``_surd_row``).
 
 The rows of one request are built once and reduced by one rule, which the
 membership verdicts and isolation diagnostics read too: a bracket of their
 infimum is certified by a proven lower end on every deeper row, and a finite
-expansion, which has no deeper rows, takes its rows' own lower end.
+expansion, which has no deeper rows, takes its rows' own lower end.  Only
+the rows whose enclosure reaches the least upper end are compared exactly.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .arith import (
     DomainError,
     ExactValue,
     InternalConsistencyError,
+    Quad,
     Real,
     RealEnclosure,
-    Value,
     _floor_quad_int,
     _surd_sign,
     enclose,
@@ -95,35 +98,43 @@ class MembershipVerdict:
 # Rows
 # ---------------------------------------------------------------------------
 
-def _row_reals(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int
-               ) -> tuple[Value, Optional[Value]]:
-    """Direct-route and tail-route values of row n (tail route None at the
-    final row of a terminating expansion)."""
-    qn, pn = table.denom(n), table.numer(n)
-    pow_tau = Real.power(Fraction(qn), tau)
-    direct = pow_tau * abs(alpha.real() * qn - pn)
-    if alpha.length is not None and n + 1 >= alpha.length:
-        return direct, None
-    t_next = tail_real(alpha, n + 1)
-    fond = pow_tau / (t_next * qn + table.denom(n - 1))
-    return direct, fond
-
-
 def _row(alpha: AlphaSpec, tau: Fraction, table: ConvergentTable, n: int,
          precision: int) -> QualityRow:
-    direct, fond = _row_reals(alpha, tau, table, n)
+    qn, pn = table.denom(n), table.numer(n)
+    here = alpha.tail_state(0) if tau.denominator == 1 else None
+    if here is not None:
+        exact = _surd_row(here, alpha.tail_state(n + 1), qn, pn, table.denom(n - 1),
+                          tau.numerator)
+        return QualityRow(n=n, q=qn, p=pn, enclosure=enclose(exact, precision), exact=exact)
+    # both routes take q_n^tau from one power, so both are exact or both are Reals
+    pow_tau = Real.power(Fraction(qn), tau)
+    direct = pow_tau * abs(alpha.real() * qn - pn)
     enc = enclose(direct, precision)
-    exact = None if isinstance(direct, Real) else direct
-    if fond is not None:
+    if alpha.length is None or n + 1 < alpha.length:  # no tail after a finite end
+        fond = pow_tau / (tail_real(alpha, n + 1) * qn + table.denom(n - 1))
         enc = enc & enclose(fond, precision)
-        other = None if isinstance(fond, Real) else fond
-        if exact is None:
-            exact = other
-        elif other is not None and exact != other:
+        if not isinstance(direct, Real) and direct != fond:
             raise InternalConsistencyError(
-                f"quality routes disagree at n={n}: {exact!r} vs {other!r}"
-            )
-    return QualityRow(n=n, q=table.denom(n), p=table.numer(n), enclosure=enc, exact=exact)
+                f"quality routes disagree at n={n}: {direct!r} vs {fond!r}")
+    exact = None if isinstance(direct, Real) else direct
+    return QualityRow(n=n, q=qn, p=pn, enclosure=enc, exact=exact)
+
+
+def _surd_row(here: tuple[int, int, int], after: tuple[int, int, int], q: int, p: int,
+              q_prev: int, k: int) -> Quad:
+    """Row q^k*|q*alpha - p| for alpha = (P0 + sqrt(D))/Q0 and its tail alpha_{n+1}
+    = (P1 + sqrt(D))/Q1: directly q^k*s*(u + q*sqrt(D))/Q0 (u = q*P0 - p*Q0, s the
+    sign of q*alpha - p), and by the tail q^k*Q1*(X - q*sqrt(D))/(X^2 - q^2*D)
+    (X = q*P1 + Q1*q_prev).  They are equal exactly when X = -u and
+    s*(X^2 - q^2*D) = -Q0*Q1."""
+    (p0, q0, d), (p1, q1, _d) = here, after
+    u, x = q * p0 - p * q0, q * p1 + q1 * q_prev
+    s = _surd_sign(u, q, d) * (1 if q0 > 0 else -1)
+    if x != -u or s * (x * x - q * q * d) != -q0 * q1:
+        raise InternalConsistencyError(
+            f"quality routes disagree at q={q}: u={u}, X={x}, Q0={q0}, Q1={q1}")
+    c = s * q ** k
+    return Quad(Fraction(c * u, q0), Fraction(c * q, q0), d)
 
 
 def gamma_n(alpha: AlphaSpec, tau: Fraction, n: int, precision: int = DEFAULT_PRECISION
@@ -175,11 +186,14 @@ class _GammaRows:
         that parity (of any when None).  Unless some row is inexact, the value
         is exact and the candidates are the rows equal to it."""
         rows = self._of(parity)
+        upper = min(r.enclosure.hi for r in rows)
+        # a row whose lower end lies above the least upper end is above the least row
+        near = [r for r in rows if r.enclosure.lo <= upper]
         if any(r.exact is None for r in rows):
-            return (None,) + _enclosure_minimum(rows)
-        vmin = min(r.exact for r in rows)
+            return None, min(r.enclosure.lo for r in near), upper, tuple(r.n for r in near)
+        vmin = min(r.exact for r in near)
         enc = enclose(vmin, self.precision)
-        return vmin, enc.lo, enc.hi, tuple(r.n for r in rows if r.exact == vmin)
+        return vmin, enc.lo, enc.hi, tuple(r.n for r in near if r.exact == vmin)
 
     def tail_floor(self, parity: Optional[int] = None) -> Optional[ExactValue]:
         """A lower end on every row deeper than depth (of that parity), exact
@@ -213,13 +227,6 @@ class _GammaRows:
         if floor is None or vmin > floor:
             return None
         return vmin, hits
-
-
-def _enclosure_minimum(rows: list[QualityRow]) -> tuple[Fraction, Fraction, tuple[int, ...]]:
-    """(least lower end, least upper end, rows whose lower end is at most it)."""
-    upper = min(r.enclosure.hi for r in rows)
-    return (min(r.enclosure.lo for r in rows), upper,
-            tuple(r.n for r in rows if r.enclosure.lo <= upper))
 
 
 def _gamma_rows(alpha: AlphaSpec, tau: Fraction, depth: int, precision: int) -> _GammaRows:
@@ -411,8 +418,9 @@ def _membership(alpha: AlphaSpec, gamma: Fraction, tau: Fraction,
                                  witness_p=g.table.numer(depth), budget_spent=depth,
                                  lower=Fraction(0), upper=Fraction(0)), g
     for r in g.rows:
-        below = r.exact < gamma if r.exact is not None else r.enclosure.hi < gamma
-        if below:
+        # the exact test only where the enclosure holds gamma
+        if r.enclosure.hi < gamma or (r.exact is not None and r.enclosure.lo < gamma
+                                      and r.exact < gamma):
             return MembershipVerdict(kind="out", witness_q=r.q, witness_p=r.p,
                                      budget_spent=r.n), g
     result = g.bracket()

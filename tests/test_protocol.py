@@ -130,28 +130,29 @@ def test_cycle_floors_equal_a_walk_per_bracket(alpha):
 
 def test_gamma_report_walks_the_cycle_once(monkeypatch):
     alpha = quadratic_from_periodic([0, 3, 1, 4], [1, 2, 3])
-    walks, tails = [], []
-    walk, tail = QuadraticAlpha._cycle.func, QuadraticAlpha.tail
+    walks, reads = [], []
+    walk, tail_state = QuadraticAlpha._cycle.func, QuadraticAlpha.tail_state
 
     def counted_walk(a):
         walks.append(a)
         return walk(a)
 
-    def counted_tail(a, n):
-        tails.append(n)
-        return tail(a, n)
+    def counted_tail_state(a, n):
+        reads.append(n)
+        return tail_state(a, n)
 
     cycle = functools.cached_property(counted_walk)
     cycle.__set_name__(QuadraticAlpha, "_cycle")
     monkeypatch.setattr(QuadraticAlpha, "_cycle", cycle)
-    monkeypatch.setattr(QuadraticAlpha, "tail", counted_tail)
+    monkeypatch.setattr(QuadraticAlpha, "tail_state", counted_tail_state)
     depth = 10
+    per_request = [m for n in range(depth + 1) for m in (0, n + 1)]
     quality._gamma_report(alpha, F(2), depth)
-    # one walk for the preperiod, period and floors; one tail per row, none
-    # for the floors
-    assert len(walks) == 1 and len(tails) == depth + 1
+    # one walk for the preperiod, period and floors; row n reads the states
+    # of alpha and of alpha_{n+1} once, and no bracket or floor reads one
+    assert len(walks) == 1 and reads == per_request
     quality.membership(alpha, F(1, 100), F(2), depth)
-    assert len(walks) == 1 and len(tails) == 2 * (depth + 1)  # the cycle is kept on the alpha
+    assert len(walks) == 1 and reads == 2 * per_request  # the cycle is kept on the alpha
     assert cf_cycle(alpha) == (4, 3)
 
 

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dioph.arith import DomainError, Quad, enclose, surd
+from dioph.arith import DomainError, Quad, enclose, exact_cmp, surd
 from dioph.contfrac import (
     PrefixAlpha,
     QuadraticAlpha,
@@ -395,3 +396,42 @@ def test_row_reduction_matches_the_reference(request):
                                                                  256)[0]))
     assert (_outcome(detect_isolation, alpha, gamma, tau, depth)
             == _outcome(oracles.reference_isolation, alpha, gamma, tau, depth))
+
+
+def _least_row_by_full_scan(rows, precision):
+    """minimum()'s tuple from every row: the exact least row and the rows
+    equal to it, or the enclosure minimum when a row is inexact."""
+    upper = min(r.enclosure.hi for r in rows)
+    if any(r.exact is None for r in rows):
+        return (None, min(r.enclosure.lo for r in rows), upper,
+                tuple(r.n for r in rows if r.enclosure.lo <= upper))
+    vmin = min((r.exact for r in rows), key=cmp_to_key(exact_cmp))
+    enc = enclose(vmin, precision)
+    return vmin, enc.lo, enc.hi, tuple(r.n for r in rows if exact_cmp(r.exact, vmin) == 0)
+
+
+@settings(max_examples=150)
+@given(row_requests(), st.integers(1, 30), st.sampled_from([1, 2, 8, 256]))
+# rows 0 and 1 of 2/5 tie across parities, as rows 1 and 4 and rows 2 and 3 of
+# 8/13 do, above the least row; rows 0 and 2 of 3/8 tie as the least even row
+@example((RationalAlpha(F(2, 5)), F(1), F(2, 5), 0), 3, 1)
+@example((RationalAlpha(F(8, 13)), F(1), F(5, 13), 0), 5, 1)
+@example((RationalAlpha(F(3, 8)), F(1), F(1, 10), 0), 3, 2)
+@example((GOLDEN, F(1), F(3, 8), 0), 25, 1)
+@example((quadratic_from_periodic([0, 3, 1, 4], [1, 2, 3]), F(2), F(1, 100), 0), 30, 1)
+def test_least_row_by_enclosures_first_is_the_full_scan(request, depth, precision):
+    """minimum(parity), which compares exactly only the rows whose enclosure
+    reaches the least upper end, gives the value, ends and candidates of an
+    exact scan of every row; membership and isolation, which read it and
+    prefilter on enclosures too, give the reference verdicts."""
+    alpha, tau, gamma, _depth = request
+    g = _gamma_rows(alpha, tau, depth, precision)
+    for parity in (None, 0, 1):
+        rows = [r for r in g.rows if parity is None or r.n % 2 == parity]
+        if rows:
+            assert g.minimum(parity) == _least_row_by_full_scan(rows, precision)
+    assert (_outcome(membership, alpha, gamma, tau, depth, precision)
+            == _outcome(lambda: oracles.reference_membership(alpha, gamma, tau, depth,
+                                                             precision)[0]))
+    assert (_outcome(detect_isolation, alpha, gamma, tau, depth, precision)
+            == _outcome(oracles.reference_isolation, alpha, gamma, tau, depth, precision))

@@ -2,6 +2,7 @@
 """Same-bytes differential between two source trees of dioph.
 
     python3 tools/differential.py --base DIR --head DIR --seed S --requests N
+        [--workload certify|scan|sieve] [--time]
 
 builds one seeded list of requests and runs it in one process per tree, with
 that tree's ``src`` first on ``sys.path``.  The list holds
@@ -19,7 +20,11 @@ that tree's ``src`` first on ``sys.path``.  The list holds
   with a malformed ``--alpha``, bad specs and flags, a bad
   ``DIOPH_PRECISION_CAP``);
 * the fixed requests of ``fixed_cli_requests``: ``gamma``, ``member`` and
-  ``cf`` on radicands of 41 to 60 bits (``BIG_ROOTS``), one malformed
+  ``cf`` on radicands of 41 to 60 bits (``BIG_ROOTS``), ``gamma --depth
+  200`` at tau 1 to 5 on those radicands, ``member`` and ``gamma`` at
+  ``--prec 1`` and ``--prec 2`` on quadratics at integer tau (``LOW_PREC``;
+  one of them with a negative denominator), where row enclosures overlap
+  and the least row is found by exact comparisons, one malformed
   rational for each option that takes a rational, and the out-of-range
   options of ``OPTION_PROBES`` (``bands --qmax 0`` and ``bands --nmax 0``
   without ``--m``, ``bands --c1 1/2 --c2 1/4``, ``bands --m`` above
@@ -34,7 +39,10 @@ that tree's ``src`` first on ``sys.path``.  The list holds
 * ``LIB_CALLS`` calls of the library functions in ``LIB_FUNCTIONS``, which
   no command reaches, on seeded alphas of every kind (prefixes with and
   without a tail bound), integer and fractional tau (and tau below 1) and
-  precisions down to 1 bit.
+  precisions down to 1 bit;
+* with ``--workload W``, the first N requests of the benchmark's stream W
+  at seed S (``bench/workloads.py`` of the head tree); a request that the
+  benchmark sends with ``--cache-dir`` gets a fresh directory per tree.
 
 A command-line request is compared on its stdout, stderr and exit code, a
 ``brute_force_gamma`` call on (lo, hi, bits, q) of its result, a library
@@ -42,6 +50,15 @@ call on the ``repr`` of its result; an exception is compared on its type
 and message.  Requests that differ are printed
 grouped by command; the exit code is 1 when any differ, else 0.  The trees
 run one after the other, and the reported time is their sum.
+
+``--time`` adds a table of the ``perf_counter`` time of each request, summed
+per group: for each group its request count, the base and head sums in
+seconds and the head/base ratio.  A group is the command (``brute_force_gamma``
+for its calls, the function's name for a library call); ``gamma`` and
+``member`` are split by alpha kind (``rat``, ``quad``, ``cf``) and by
+integer or fractional tau, and requests of a ``--workload`` stream are
+grouped apart under its name.  The table only reports: the exit code still
+means only that bytes differ.
 """
 
 from __future__ import annotations
@@ -55,6 +72,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -214,6 +232,10 @@ def cli_request(rng: random.Random) -> dict:
 # 56-bit one is 100129^2 * 4687685, so that trial division to 100,000 reduces
 # none of them fully
 BIG_ROOTS = (1048579, 33554439, 216789922, 1073741821)
+# unit quadratics at integer tau read at 1 and 2 bits; (-4 + sqrt(7))/(-5)
+# has a negative denominator that does not divide 7 - 4^2, so its tails are
+# over 25*7
+LOW_PREC = ("quad:-1,5,2", "quad:-4,7,-5", f"quad:{-BIG_ROOTS[0]},{BIG_ROOTS[0] ** 2 + 1},3")
 MALFORMED_RATIONALS = (
     ["gamma", "--alpha", "rat:1/3", "--tau", "x"],
     ["member", "--alpha", "rat:1/3", "--gamma", "x", "--tau", "2"],
@@ -239,16 +261,27 @@ OPTION_PROBES = (
 
 def fixed_cli_requests() -> list[dict]:
     """Unit alphas (P + sqrt(D))/Q over each radicand of ``BIG_ROOTS``, with
-    Q = 1, Q = 3 (tails over 9*D) and Q = -7, then ``MALFORMED_RATIONALS``
-    and ``OPTION_PROBES``."""
+    Q = 1, Q = 3 (tails over 9*D) and Q = -7, each at depth 12 and one of
+    them at depth 200 for each tau from 1 to 5; the ``LOW_PREC`` alphas at 1
+    and 2 bits; then ``MALFORMED_RATIONALS`` and ``OPTION_PROBES``."""
     argvs = []
     for x in BIG_ROOTS:
         d = x * x + 1
-        for alpha in (f"quad:{-x},{d},1", f"quad:{-x},{d},3", f"quad:{-x - 5},{d},-7"):
+        alphas = (f"quad:{-x},{d},1", f"quad:{-x},{d},3", f"quad:{-x - 5},{d},-7")
+        for alpha in alphas:
             argvs += [["gamma", "--alpha", alpha, "--tau", "1", "--depth", "12"],
                       ["member", "--alpha", alpha, "--gamma", "1/10", "--tau", "2",
                        "--budget", "12"],
                       ["cf", "--alpha", alpha, "--depth", "16"]]
+        argvs += [["gamma", "--alpha", alphas[tau % 3], "--tau", str(tau), "--depth", "200"]
+                  for tau in range(1, 6)]
+    for alpha in LOW_PREC:
+        for prec in ("1", "2"):
+            for tau in ("1", "2", "4"):
+                argvs += [["gamma", "--alpha", alpha, "--tau", tau, "--depth", "40",
+                           "--prec", prec],
+                          ["member", "--alpha", alpha, "--gamma", "1/10", "--tau", tau,
+                           "--budget", "40", "--prec", prec]]
     return [{"kind": "cli", "argv": argv, "env": {}}
             for argv in argvs + list(map(list, MALFORMED_RATIONALS + OPTION_PROBES))]
 
@@ -307,19 +340,40 @@ def lib_request(rng: random.Random, fn: str) -> dict:
     return {"kind": "lib", "fn": fn, "args": args, "kwargs": kwargs, "tail": tail}
 
 
-def scan_bf_requests(head: str) -> list[dict]:
+def _workloads(head: str):
+    """The benchmark's request streams, ``bench/workloads.py`` of the head tree."""
     sys.path[:0] = [os.path.join(head, "src"), os.path.join(head, "bench")]
-    import workloads  # noqa: E402  (the benchmark's request streams)
-    out = []
+    import workloads  # noqa: E402
+    return workloads
+
+
+def _bf_of(call: dict, label: str) -> dict:
+    return {"kind": "bf", "alpha": call["alpha"], "tail": None, "tau": call["tau"],
+            "qmax": call["qmax"], "precision": None, "label": label}
+
+
+def scan_bf_requests(head: str) -> list[dict]:
+    out, workloads = [], _workloads(head)
     for seed in SCAN_SEEDS:
         for req in workloads.scan(seed):
             if req["i"] >= SCAN_REQUESTS:
                 break
             if req["cmd"] == "bf":
-                call = req["call"]
-                out.append({"kind": "bf", "alpha": call["alpha"], "tail": None,
-                            "tau": call["tau"], "qmax": call["qmax"], "precision": None,
-                            "label": f"scan seed {seed} #{req['i']}"})
+                out.append(_bf_of(req["call"], f"scan seed {seed} #{req['i']}"))
+    return out
+
+
+def workload_requests(head: str, name: str, seed: int, count: int) -> list[dict]:
+    """The first `count` requests of the benchmark's stream `name` at `seed`."""
+    out = []
+    for req in getattr(_workloads(head), name)(seed):
+        if req["i"] >= count:
+            break
+        label = f"{name} seed {seed} #{req['i']}"
+        out.append(_bf_of(req["call"], label) if req["cmd"] == "bf" else
+                   {"kind": "cli", "argv": req["argv"], "env": {},
+                    "cache": bool(req.get("cache")), "label": label})
+        out[-1]["source"] = name
     return out
 
 
@@ -328,7 +382,10 @@ def build_requests(args) -> list[dict]:
     reqs = [cli_request(rng) for _ in range(args.requests)] + fixed_cli_requests()
     reqs += [bf_request(rng, ("rat", "quad", "prefix")[i % 3]) for i in range(BF_CALLS)]
     reqs += [lib_request(rng, LIB_FUNCTIONS[i % len(LIB_FUNCTIONS)]) for i in range(LIB_CALLS)]
-    return reqs + scan_bf_requests(args.head)
+    reqs += scan_bf_requests(args.head)
+    if args.workload:
+        reqs += workload_requests(args.head, args.workload, args.seed, args.requests)
+    return reqs
 
 
 # ---------------------------------------------------------------------------
@@ -357,34 +414,39 @@ def run_tree(tree: str) -> None:
             return x
         return alpha_of(x, tail) if ":" in x else Fraction(x)
 
-    reqs = json.load(sys.stdin)
-    results = []
-    for req in reqs:
+    def run_one(req, cache_dir):
         if req["kind"] == "lib":
             try:
                 args = [lib_arg(x, req["tail"]) for x in req["args"]]
-                results.append([repr(getattr(dioph, req["fn"])(*args, **req["kwargs"]))])
+                return [repr(getattr(dioph, req["fn"])(*args, **req["kwargs"]))]
             except Exception as exc:  # compared like any other result
-                results.append(_error(exc))
-            continue
+                return _error(exc)
         if req["kind"] == "bf":
             try:
                 alpha = alpha_of(req["alpha"], req["tail"])
                 kw = {} if req["precision"] is None else {"precision": req["precision"]}
                 enc, q = dioph.brute_force_gamma(alpha, Fraction(req["tau"]), req["qmax"], **kw)
-                results.append([str(enc.lo), str(enc.hi), enc.bits, q])
+                return [str(enc.lo), str(enc.hi), enc.bits, q]
             except Exception as exc:  # compared like any other result
-                results.append(_error(exc))
-            continue
+                return _error(exc)
+        argv = req["argv"] + (["--cache-dir", cache_dir] if req.get("cache") else [])
         out, err = io.StringIO(), io.StringIO()
         try:
             with mock.patch.dict(os.environ, req["env"]), \
                     contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = dioph.cli.run(req["argv"])
+                code = dioph.cli.run(argv)
         except Exception as exc:  # a traceback in the CLI, compared like a result
             code = _error(exc)
-        results.append([out.getvalue(), err.getvalue(), code])
-    json.dump({"dioph": dioph.__file__, "results": results}, sys.stdout)
+        return [out.getvalue(), err.getvalue(), code]
+
+    reqs = json.load(sys.stdin)
+    results, times = [], []
+    with tempfile.TemporaryDirectory(prefix="dioph-differential-") as cache_dir:
+        for req in reqs:
+            start = time.perf_counter()
+            results.append(run_one(req, cache_dir))
+            times.append(time.perf_counter() - start)
+    json.dump({"dioph": dioph.__file__, "results": results, "times": times}, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +458,11 @@ def _describe(req: dict) -> str:
         args = [repr(x) for x in req["args"]] + [f"{k}={v!r}" for k, v in req["kwargs"].items()]
         tail = f" tail={req['tail']}" if req["tail"] else ""
         return f"{req['fn']}({', '.join(args)}){tail}"
+    label = f" ({req['label']})" if "label" in req else ""
     if req["kind"] == "cli":
         env = " ".join(f"{k}={v}" for k, v in req["env"].items())
-        return (env + " " if env else "") + " ".join(req["argv"])
+        return (env + " " if env else "") + " ".join(req["argv"]) + label
     tail = f" tail={req['tail']}" if req["tail"] else ""
-    label = f" ({req['label']})" if "label" in req else ""
     return (f"brute_force_gamma({req['alpha']}{tail}, tau={req['tau']}, "
             f"qmax={req['qmax']}, precision={req['precision']}){label}")
 
@@ -412,12 +474,56 @@ def _differing(a, b) -> str:
     return f"{a!r} != {b!r}"
 
 
+def _option(argv: list[str], name: str):
+    for i, arg in enumerate(argv):
+        if arg == name and i + 1 < len(argv):
+            return argv[i + 1]
+        if arg.startswith(name + "="):
+            return arg[len(name) + 1:]
+    return None
+
+
+def _time_group(req: dict) -> str:
+    """The group a request is timed in (see the module docstring)."""
+    if req["kind"] != "cli":
+        name = req["fn"] if req["kind"] == "lib" else "brute_force_gamma"
+    else:
+        name = req["argv"][0]
+        if name in ("gamma", "member"):
+            kind, _sep, _spec = (_option(req["argv"], "--alpha") or "").partition(":")
+            try:
+                tau = "int" if Fraction(_option(req["argv"], "--tau")).denominator == 1 else "frac"
+            except (TypeError, ValueError, ZeroDivisionError):
+                tau = "bad"
+            name += f" {kind if _sep else 'bad'} {tau}-tau"
+    return f"{req['source']}: {name}" if "source" in req else name
+
+
+def _time_report(reqs: list[dict], base: list[float], head: list[float]) -> list[str]:
+    sums: dict[str, list] = defaultdict(lambda: [0, 0.0, 0.0])
+    for req, tb, th in zip(reqs, base, head):
+        entry = sums[_time_group(req)]
+        entry[0] += 1
+        entry[1] += tb
+        entry[2] += th
+    width = max(map(len, sums))
+    lines = [f"{'time per group':<{width}}  count   base s   head s  head/base"]
+    for group in sorted(sums):
+        n, tb, th = sums[group]
+        ratio = f"{th / tb:9.3f}" if tb > 0 else "        -"
+        lines.append(f"{group:<{width}}  {n:5d} {tb:8.3f} {th:8.3f}  {ratio}")
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", help="root of the tree to compare against")
     ap.add_argument("--head", help="root of the tree under test")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--requests", type=int, default=1000, help="command-line requests")
+    ap.add_argument("--workload", choices=("certify", "scan", "sieve"),
+                    help="add the first N requests of this benchmark stream")
+    ap.add_argument("--time", action="store_true", help="report time per request group")
     ap.add_argument("--run", help=argparse.SUPPRESS)  # internal: one tree's process
     args = ap.parse_args()
     if args.run:
@@ -460,6 +566,8 @@ def main() -> int:
     for group in sorted(groups):
         print(f"{group}: {len(groups[group])}")
         print("\n".join(groups[group]))
+    if args.time:
+        print("\n".join(_time_report(reqs, base["times"], head["times"])))
     return 1 if groups else 0
 
 
